@@ -39,6 +39,17 @@ struct CommState {
   std::vector<rank_t> to_local;       ///< world rank -> local rank, -1 absent
   std::uint32_t collective_seq = 0;   ///< advanced once per collective call
 
+  [[nodiscard]] rank_t my_world() const {
+    return to_global[static_cast<std::size_t>(my_rank)];
+  }
+  [[nodiscard]] Mailbox& mailbox() const { return job->mailbox(my_world()); }
+  /// Local rank of a matched envelope's world source.
+  [[nodiscard]] rank_t local_source(rank_t world) const {
+    return world >= 0 && world < static_cast<rank_t>(to_local.size())
+               ? to_local[static_cast<std::size_t>(world)]
+               : world;
+  }
+
   CommState() = default;
   CommState(const CommState&) = delete;
   CommState& operator=(const CommState&) = delete;
@@ -55,6 +66,12 @@ struct CommState {
 class Request {
  public:
   Request() = default;
+  /// Move-only: the handle owns its receive.  Destroying (or overwriting)
+  /// an unconsumed receive abandons it, so a later delivery never writes
+  /// into a buffer that may have died with the handle.
+  Request(Request&&) noexcept = default;
+  Request& operator=(Request&& other) noexcept;
+  ~Request() { abandon(); }
 
   [[nodiscard]] bool valid() const noexcept {
     return immediate_done_ || ticket_ != nullptr;
@@ -81,6 +98,8 @@ class Request {
 
  private:
   friend class Comm;
+  void abandon() noexcept;
+
   std::shared_ptr<detail::CommState> state_;  ///< for deadline + translation
   std::shared_ptr<RecvTicket> ticket_;        ///< null for immediate ops
   Status immediate_{};
@@ -284,6 +303,8 @@ class Comm {
   [[nodiscard]] Comm split_impl(int color, int key) const;
   [[nodiscard]] rank_t require_member_global(rank_t local,
                                              const char* what) const;
+  /// World rank of a receive's `source` (any_source passes through).
+  [[nodiscard]] rank_t source_global(rank_t source) const;
   static void check_user_tag(tag_t tag);
   static void check_user_tag_or_any(tag_t tag);
 

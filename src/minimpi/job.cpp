@@ -40,7 +40,7 @@ Job::Job(int world_size, JobOptions options)
   }
   options_.trace = options_.trace.merged_with_env();
   if (options_.trace.enabled) {
-    tracer_ = std::make_unique<Tracer>(world_size, options_.trace);
+    tracer_ = std::make_unique<Tracer>(world_size, options_.trace, clock_);
     if (faults_ != nullptr) faults_->set_tracer(tracer_.get());
   }
   options_.monitor = options_.monitor.merged_with_env();
@@ -54,7 +54,7 @@ Job::Job(int world_size, JobOptions options)
   }
   if (options_.monitor.enabled || options_.watch.enabled) {
     // Watching implies collecting: the rules are functions of snapshots.
-    metrics_ = std::make_unique<MetricsRegistry>(world_size);
+    metrics_ = std::make_unique<MetricsRegistry>(world_size, clock_);
     if (faults_ != nullptr) faults_->set_metrics(metrics_.get());
   }
   if (options_.watch.enabled) {
@@ -323,33 +323,35 @@ void Job::control_send(rank_t src_world, rank_t dest_world, tag_t control_tag,
   if (control_tag < kControlTagBase) {
     throw Error(Errc::internal, "control_send requires a control-range tag");
   }
-  Envelope env;
-  env.context = kWorldContext;
-  env.src = src_world;
-  env.tag = control_tag;
-  env.payload.assign(bytes.begin(), bytes.end());
-  count_message(env.payload.size());
+  send_envelope(kWorldContext, src_world, dest_world, control_tag, bytes, {},
+                "control_send");
+}
+
+void Job::send_envelope(context_t ctx, rank_t src_world, rank_t dest_world,
+                        tag_t tag, std::span<const std::byte> bytes,
+                        TypeSig sig, const char* trace_name) {
+  // The vector clock and the flow id are stamped below and in deliver().
+  Envelope env{ctx, src_world, tag, {bytes.begin(), bytes.end()}, sig, {}, 0};
   if (tracer_ != nullptr) {
-    env.flow = tracer_->next_flow(src_world);
-    tracer_->instant(src_world, TraceOp::send, "control_send", dest_world,
-                     kWorldContext, control_tag, env.payload.size(), env.flow);
+    env.flow = tracer_->next_flow(env.src);
+    tracer_->instant(env.src, TraceOp::send, trace_name, dest_world,
+                     env.context, env.tag, env.payload.size(), env.flow);
   }
   mailbox(dest_world).deliver(std::move(env));
 }
 
 CommStats Job::stats() const {
   CommStats s;
-  s.messages = messages_.load(std::memory_order_relaxed);
-  s.payload_bytes = payload_bytes_.load(std::memory_order_relaxed);
   s.contexts_allocated = contexts_allocated_.load(std::memory_order_relaxed);
   std::map<context_t, std::uint64_t> by_context;
   for (const auto& box : mailboxes_) {
+    const MailboxCounts counts = box->counts();
+    s.messages += counts.messages;
+    s.payload_bytes += counts.bytes;
     s.queue_high_water =
-        std::max<std::uint64_t>(s.queue_high_water, box->queue_high_water());
+        std::max<std::uint64_t>(s.queue_high_water, counts.queue_high_water);
     s.wildcard_recvs += box->wildcard_recvs();
-    for (const auto& [ctx, count] : box->delivered_by_context()) {
-      by_context[ctx] += count;
-    }
+    for (const auto& [ctx, count] : counts.by_context) by_context[ctx] += count;
   }
   s.messages_by_context.assign(by_context.begin(), by_context.end());
   return s;
@@ -403,7 +405,7 @@ TraceReport Job::trace_report() const {
     TraceRing::Snapshot snap = tracer_->ring(i).snapshot();
     rank.events = std::move(snap.events);
     rank.dropped = snap.dropped;
-    rank.queue_high_water = mailboxes_[i]->queue_high_water();
+    rank.queue_high_water = mailboxes_[i]->counts().queue_high_water;
     report.ranks.push_back(std::move(rank));
   }
   return report;

@@ -113,10 +113,7 @@ struct AbortInfo {
 };
 
 /// Sum of every mailbox's teardown accounting.
-struct JobDrain {
-  std::size_t envelopes = 0;
-  std::size_t posted_recvs = 0;
-};
+using JobDrain = MailboxDrain;
 
 class Job {
  public:
@@ -276,13 +273,14 @@ class Job {
   void control_send(rank_t src_world, rank_t dest_world, tag_t control_tag,
                     std::span<const std::byte> bytes);
 
-  /// Record one delivered message (called by every send path).
-  void count_message(std::size_t payload_bytes) noexcept {
-    messages_.fetch_add(1, std::memory_order_relaxed);
-    payload_bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
-  }
+  /// The send path every sender shares: build the envelope, stamp a trace
+  /// flow id, record the send event as `trace_name`, and deliver it.
+  void send_envelope(context_t ctx, rank_t src_world, rank_t dest_world,
+                     tag_t tag, std::span<const std::byte> bytes, TypeSig sig,
+                     const char* trace_name);
 
-  /// Snapshot of the job's communication counters.
+  /// Snapshot of the job's communication counters, summed over the
+  /// mailboxes that counted them.
   [[nodiscard]] CommStats stats() const;
 
   /// Drain the trace rings into a report (empty ranks when tracing is
@@ -317,27 +315,22 @@ class Job {
   };
 
   int world_size_;
-  // Declared before the mailboxes: options_ holds the scheduler and every
-  // Mailbox a raw Scheduler*, so it must outlive them (members destroy in
-  // reverse order).
+  // Declared before the mailboxes, which must not outlive them (members
+  // destroy in reverse order): every Mailbox holds raw pointers to the
+  // scheduler in options_, the injector, the checker, the tracer and the
+  // registry; the injector holds the last two, which both read clock_.
   JobOptions options_;
   std::uint64_t seed_ = 0;  ///< resolved job seed (see seed())
   bool verify_ = false;     ///< scheduler present and verifying
+  JobClock clock_;          ///< the job's one clock
   std::unique_ptr<FaultInjector> faults_;
-  // Likewise declared before the mailboxes: every Mailbox holds a raw
-  // Checker*, so the checker must outlive them.
   std::unique_ptr<Checker> checker_;
-  // Likewise: every Mailbox (and the fault injector) holds a raw Tracer*.
   std::unique_ptr<Tracer> tracer_;
-  // Likewise: every Mailbox (and the fault injector) holds a raw
-  // MetricsRegistry*.
   std::unique_ptr<MetricsRegistry> metrics_;
   mph::atomic<context_t> next_context_{kWorldContext + 1};
   /// Verify mode: per-rank context counters (disjoint id spaces).
   std::unique_ptr<mph::atomic<context_t>[]> rank_next_context_;
   mph::atomic<std::uint64_t> contexts_allocated_{0};
-  mph::atomic<std::uint64_t> messages_{0};
-  mph::atomic<std::uint64_t> payload_bytes_{0};
 
   // The abort flag/reason are referenced by every Mailbox.  The reason
   // string is written exactly once, before the flag flips to true (release

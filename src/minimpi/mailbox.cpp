@@ -52,61 +52,58 @@ void Mailbox::wait_locked(std::unique_lock<std::mutex>& lock, Deadline deadline,
   // "seen == epoch" proves the waiter examined every delivery and matched
   // nothing.
   struct BlockedScope {
-    Checker* checker;
-    Scheduler* sched;
-    Tracer* tracer;
-    MetricsRegistry* metrics;
-    rank_t owner;
-    rank_t waits_on = any_source;
-    context_t ctx = kWorldContext;
-    tag_t tag = any_tag;
+    const Mailbox& box;
+    rank_t waits_on;
+    const char* op;
+    context_t ctx;
+    tag_t tag;
     const char* label = "";
     std::uint64_t t0 = 0;
-    std::uint64_t t0_metrics = 0;
     bool registered = false;
-    void blocked(rank_t on, const char* op, context_t c, tag_t t) {
+    void blocked() {
+      const rank_t owner = box.owner_rank_;
       if (registered) {
-        if (checker != nullptr) checker->refresh(owner);
-        if (sched != nullptr) sched->note_still_blocked(owner);
+        if (box.checker_ != nullptr) box.checker_->refresh(owner);
+        if (box.sched_ != nullptr) box.sched_->note_still_blocked(owner);
         return;
       }
-      if (checker != nullptr) checker->block(owner, on, op, c, t);
-      if (sched != nullptr) sched->note_blocked(owner, on, op, c, t);
-      if (tracer != nullptr) {
-        // Blocked spans take the enclosing collective's label when one is
-        // active ("barrier", "bcast", ...), the raw operation otherwise —
-        // that label drives the recv-wait vs collective-wait breakdown.
-        const char* scoped = ScopedCheckOp::current();
-        label = scoped != nullptr ? scoped : op;
-        waits_on = on;
-        ctx = c;
-        tag = t;
-        t0 = tracer->now_ns();
+      if (box.checker_ != nullptr) {
+        box.checker_->block(owner, waits_on, op, ctx, tag);
       }
-      if (metrics != nullptr) t0_metrics = metrics->note_block_start(owner);
+      if (box.sched_ != nullptr) {
+        box.sched_->note_blocked(owner, waits_on, op, ctx, tag);
+      }
+      // Blocked spans take the enclosing collective's label when one is
+      // active ("barrier", "bcast", ...), the raw operation otherwise —
+      // that label drives the recv-wait vs collective-wait breakdown.
+      const char* scoped = ScopedCheckOp::current();
+      label = scoped != nullptr ? scoped : op;
+      t0 = box.stamp();
+      if (box.metrics_ != nullptr) box.metrics_->note_block_start(owner, t0);
       registered = true;
     }
     ~BlockedScope() {
       if (!registered) return;
-      if (checker != nullptr) checker->unblock(owner);
-      if (sched != nullptr) sched->note_unblocked(owner);
-      if (tracer != nullptr) {
-        tracer->span_end(owner, TraceOp::blocked, label, t0, waits_on, ctx,
-                         tag);
+      const rank_t owner = box.owner_rank_;
+      if (box.checker_ != nullptr) box.checker_->unblock(owner);
+      if (box.sched_ != nullptr) box.sched_->note_unblocked(owner);
+      if (box.tracer_ != nullptr) {
+        box.tracer_->span_end(owner, TraceOp::blocked, label, t0, waits_on,
+                              ctx, tag);
       }
-      if (metrics != nullptr) metrics->note_block_end(owner, t0_metrics);
+      if (box.metrics_ != nullptr) box.metrics_->note_block_end(owner, t0);
     }
-  } scope{checker_, sched_, tracer_, metrics_, owner_rank_};
+  } scope{*this, source, operation, ctx, tag};
 
   while (!pred()) {
     check_abort_locked();
-    scope.blocked(source, operation, ctx, tag);
+    scope.blocked();
     if (deadline == Deadline::max()) {
       cv_.wait(lock);
     } else if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
       check_abort_locked();
       if (pred()) return;
-      scope.blocked(source, operation, ctx, tag);
+      scope.blocked();
       // Upgrade: when this rank sits on a confirmed wait-for cycle, report
       // the whole cycle instead of a bare timeout.
       if (checker_ != nullptr) {
@@ -133,16 +130,50 @@ std::deque<Envelope>::iterator Mailbox::find_locked(context_t ctx,
   });
 }
 
-std::exception_ptr Mailbox::check_types_locked(const Envelope& env,
-                                               const TypeSig& expected,
-                                               std::size_t buffer_bytes) const {
-  if (checker_ == nullptr) return nullptr;
-  const auto mismatch =
-      checker_->type_mismatch(env.sig, env.payload.size(), expected,
-                              buffer_bytes, env.src, owner_rank_, env.context,
-                              env.tag);
-  if (!mismatch) return nullptr;
-  return std::make_exception_ptr(TypeMismatchError(*mismatch));
+std::deque<Envelope>::iterator Mailbox::wait_match_locked(
+    std::unique_lock<std::mutex>& lock, Deadline deadline,
+    const char* operation, context_t ctx, rank_t source, tag_t tag) {
+  auto it = queue_.end();
+  wait_locked(
+      lock, deadline,
+      [&] {
+        it = find_locked(ctx, source, tag);
+        return it != queue_.end();
+      },
+      operation, ctx, source, tag);
+  return it;
+}
+
+void Mailbox::complete_match_locked(Envelope& env, RecvTicket& rx,
+                                    std::vector<std::byte>* take) {
+  if (sched_ != nullptr) {
+    sched_->on_match(owner_rank_, env.src, env.context, env.tag, env.vc);
+  }
+  const std::size_t bytes = env.payload.size();
+  const std::size_t room = take != nullptr ? bytes : rx.buffer.size();
+  if (checker_ != nullptr) {
+    if (auto mismatch =
+            checker_->type_mismatch(env.sig, bytes, rx.expected, room, env.src,
+                                    owner_rank_, env.context, env.tag)) {
+      rx.error = std::make_exception_ptr(TypeMismatchError(*mismatch));
+    }
+  }
+  if (!rx.error && bytes > room) {
+    rx.error = std::make_exception_ptr(Error(
+        Errc::truncation, "receive buffer of " + std::to_string(room) +
+                              " bytes matched a message of " +
+                              std::to_string(bytes) + " bytes"));
+  }
+  if (!rx.error) {
+    if (take != nullptr) {
+      *take = std::move(env.payload);
+    } else if (bytes != 0) {
+      std::memcpy(rx.buffer.data(), env.payload.data(), bytes);
+    }
+    rx.status = Status{env.src, env.tag, bytes};
+  }
+  rx.flow = env.flow;
+  rx.done = true;
 }
 
 void Mailbox::account_consumed_locked(RecvTicket& ticket) const {
@@ -153,7 +184,9 @@ void Mailbox::account_consumed_locked(RecvTicket& ticket) const {
 
 rank_t Mailbox::fence_wildcard(context_t ctx, rank_t source, tag_t tag,
                                const char* operation) {
-  if (!verify_ || source != any_source) return source;
+  if (source != any_source) return source;
+  wildcard_recvs_.fetch_add(1, std::memory_order_relaxed);
+  if (!verify_) return source;
   // Hold the rank at the scheduler (no mailbox mutex held: the monitor
   // thread inspects this mailbox to enumerate candidates) until the
   // exploration engine picks the sender this wildcard must match.  The
@@ -177,7 +210,6 @@ void Mailbox::deliver(Envelope&& env) {
   if (sched_ != nullptr) {
     env.vc = sched_->on_send(env.src, owner_rank_, env.context, env.tag);
   }
-  std::shared_ptr<RecvTicket> completed;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     // Epoch bumps under the same mutex the owner's wait predicate runs
@@ -190,152 +222,76 @@ void Mailbox::deliver(Envelope&& env) {
       checker_->note_send(env.src);
     }
     if (sched_ != nullptr) sched_->note_delivery(owner_rank_);
-    count_context_locked(env.context);
+    count_delivery_locked(env.context, env.payload.size());
     if (metrics_ != nullptr) {
       metrics_->on_delivered(owner_rank_, env.payload.size());
     }
-    // Try to complete the earliest-posted matching receive.
-    auto it = std::find_if(posted_.begin(), posted_.end(),
-                           [&](const PostedRecv& p) {
-                             return matches(p.context, p.source, p.tag, env);
-                           });
+    // Try to complete the earliest-posted live matching receive.
+    auto it = std::find_if(posted_.begin(), posted_.end(), [&](const auto& t) {
+      return !t->abandoned && matches(t->context, t->source, t->tag, env);
+    });
     if (it != posted_.end()) {
-      if (sched_ != nullptr) {
-        sched_->on_match(owner_rank_, env.src, env.context, env.tag, env.vc);
-      }
       if (tracer_ != nullptr) {
         // Posted-receive match on the receiver's timeline (recorded from
         // the sender's thread — the rings are multi-producer).
         tracer_->instant(owner_rank_, TraceOp::recv, "recv_match", env.src,
                          env.context, env.tag, env.payload.size(), env.flow);
       }
-      PostedRecv p = std::move(*it);
+      complete_match_locked(env, **it);
       posted_.erase(it);
-      if (std::exception_ptr bad =
-              check_types_locked(env, p.expected, p.buffer.size())) {
-        p.ticket->error = std::move(bad);
-      } else if (env.payload.size() > p.buffer.size()) {
-        p.ticket->error = std::make_exception_ptr(Error(
-            Errc::truncation, "posted receive buffer of " +
-                                  std::to_string(p.buffer.size()) +
-                                  " bytes matched a message of " +
-                                  std::to_string(env.payload.size()) +
-                                  " bytes"));
-      } else {
-        if (!env.payload.empty()) {
-          std::memcpy(p.buffer.data(), env.payload.data(), env.payload.size());
-        }
-        p.ticket->status =
-            Status{env.src, env.tag, env.payload.size()};
-      }
-      p.ticket->flow = env.flow;
-      p.ticket->done = true;
-      completed = std::move(p.ticket);
     } else {
       queue_.push_back(std::move(env));
-      queue_high_water_ = std::max(queue_high_water_, queue_.size());
+      counts_.queue_high_water =
+          std::max(counts_.queue_high_water, queue_.size());
       if (metrics_ != nullptr) {
         metrics_->set_queue_depth(owner_rank_, queue_.size());
       }
     }
   }
+  // Ticket completion is observed through the same cv.
   cv_.notify_all();
-  (void)completed;  // ticket completion is observed through the same cv
-}
-
-Status Mailbox::recv(context_t ctx, rank_t source, tag_t tag,
-                     std::span<std::byte> buffer, Deadline deadline,
-                     TypeSig expected) {
-  if (source == any_source) {
-    wildcard_recvs_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // The tracer and the metrics registry keep separate clock epochs, so
-  // each layer must start and stop the match-latency measurement with its
-  // own clock — mixing them yields negative (wrapped) durations.
-  const std::uint64_t t0 = tracer_ != nullptr ? tracer_->now_ns() : 0;
-  const std::uint64_t t0_metrics =
-      metrics_ != nullptr ? metrics_->now_ns() : 0;
-  source = fence_wildcard(ctx, source, tag, "recv");
-  std::unique_lock<std::mutex> lock(mutex_);
-  std::deque<Envelope>::iterator it;
-  wait_locked(
-      lock, deadline,
-      [&] {
-        it = find_locked(ctx, source, tag);
-        return it != queue_.end();
-      },
-      "recv", ctx, source, tag);
-  if (sched_ != nullptr) {
-    sched_->on_match(owner_rank_, it->src, ctx, it->tag, it->vc);
-  }
-  if (std::exception_ptr bad =
-          check_types_locked(*it, expected, buffer.size())) {
-    queue_.erase(it);
-    std::rethrow_exception(bad);
-  }
-  if (it->payload.size() > buffer.size()) {
-    throw Error(Errc::truncation,
-                "receive buffer of " + std::to_string(buffer.size()) +
-                    " bytes matched a message of " +
-                    std::to_string(it->payload.size()) + " bytes");
-  }
-  if (!it->payload.empty()) {
-    std::memcpy(buffer.data(), it->payload.data(), it->payload.size());
-  }
-  const Status status{it->src, it->tag, it->payload.size()};
-  const std::uint64_t flow = it->flow;
-  queue_.erase(it);
-  if (tracer_ != nullptr) {
-    tracer_->span_end(owner_rank_, TraceOp::recv, "recv", t0, status.source,
-                      ctx, status.tag, status.bytes, flow);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->set_queue_depth(owner_rank_, queue_.size());
-    metrics_->on_match(owner_rank_, metrics_->now_ns() - t0_metrics);
-  }
-  return status;
 }
 
 std::pair<Status, std::vector<std::byte>> Mailbox::recv_take(
     context_t ctx, rank_t source, tag_t tag, Deadline deadline,
     TypeSig expected) {
-  if (source == any_source) {
-    wildcard_recvs_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const std::uint64_t t0 = tracer_ != nullptr ? tracer_->now_ns() : 0;
-  const std::uint64_t t0_metrics =
-      metrics_ != nullptr ? metrics_->now_ns() : 0;
+  std::vector<std::byte> payload;
+  const Status status =
+      receive(ctx, source, tag, {}, deadline, expected, &payload);
+  return {status, std::move(payload)};
+}
+
+Status Mailbox::receive(context_t ctx, rank_t source, tag_t tag,
+                        std::span<std::byte> buffer, Deadline deadline,
+                        const TypeSig& expected,
+                        std::vector<std::byte>* take) {
+  const std::uint64_t t0 = stamp();
   source = fence_wildcard(ctx, source, tag, "recv");
   std::unique_lock<std::mutex> lock(mutex_);
-  std::deque<Envelope>::iterator it;
-  wait_locked(
-      lock, deadline,
-      [&] {
-        it = find_locked(ctx, source, tag);
-        return it != queue_.end();
-      },
-      "recv", ctx, source, tag);
-  if (sched_ != nullptr) {
-    sched_->on_match(owner_rank_, it->src, ctx, it->tag, it->vc);
-  }
-  if (std::exception_ptr bad =
-          check_types_locked(*it, expected, it->payload.size())) {
-    queue_.erase(it);
-    std::rethrow_exception(bad);
-  }
-  const Status status{it->src, it->tag, it->payload.size()};
-  const std::uint64_t flow = it->flow;
-  std::vector<std::byte> payload = std::move(it->payload);
+  const auto it = wait_match_locked(lock, deadline, "recv", ctx, source, tag);
+  RecvTicket done;
+  done.buffer = buffer;
+  done.expected = expected;
+  complete_match_locked(*it, done, take);
   queue_.erase(it);
-  if (tracer_ != nullptr) {
-    tracer_->span_end(owner_rank_, TraceOp::recv, "recv", t0, status.source,
-                      ctx, status.tag, status.bytes, flow);
-  }
   if (metrics_ != nullptr) {
     metrics_->set_queue_depth(owner_rank_, queue_.size());
-    metrics_->on_match(owner_rank_, metrics_->now_ns() - t0_metrics);
   }
-  return {status, std::move(payload)};
+  return finish_recv_locked(done, "recv", ctx, t0);
+}
+
+Status Mailbox::finish_recv_locked(const RecvTicket& done, const char* name,
+                                   context_t ctx, std::uint64_t t0) {
+  if (done.error) std::rethrow_exception(done.error);
+  if (tracer_ != nullptr) {
+    tracer_->span_end(owner_rank_, TraceOp::recv, name, t0,
+                      done.status.source, ctx, done.status.tag,
+                      done.status.bytes, done.flow);
+  }
+  if (metrics_ != nullptr) {
+    metrics_->on_match(owner_rank_, metrics_->now_ns() - t0);
+  }
+  return done.status;
 }
 
 std::shared_ptr<RecvTicket> Mailbox::post_recv(context_t ctx, rank_t source,
@@ -351,9 +307,7 @@ std::shared_ptr<RecvTicket> Mailbox::post_recv(context_t ctx, rank_t source,
                 "receives (irecv with source=ANY_SOURCE); use a blocking "
                 "recv or an exact source");
   }
-  if (source == any_source) {
-    wildcard_recvs_.fetch_add(1, std::memory_order_relaxed);
-  }
+  source = fence_wildcard(ctx, source, tag, "irecv");  // counts a wildcard
   if (tracer_ != nullptr) {
     tracer_->instant(owner_rank_, TraceOp::post_recv, "post_recv", source, ctx,
                      tag, buffer.size());
@@ -362,44 +316,24 @@ std::shared_ptr<RecvTicket> Mailbox::post_recv(context_t ctx, rank_t source,
   ticket->context = ctx;
   ticket->source = source;
   ticket->tag = tag;
+  ticket->buffer = buffer;
+  ticket->expected = expected;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (checker_ != nullptr) checker_->note_request_posted(owner_rank_);
     auto it = find_locked(ctx, source, tag);
     if (it != queue_.end()) {
-      if (sched_ != nullptr) {
-        sched_->on_match(owner_rank_, it->src, ctx, it->tag, it->vc);
-      }
-      if (std::exception_ptr bad =
-              check_types_locked(*it, expected, buffer.size())) {
-        ticket->error = std::move(bad);
-      } else if (it->payload.size() > buffer.size()) {
-        ticket->error = std::make_exception_ptr(Error(
-            Errc::truncation, "posted receive buffer of " +
-                                  std::to_string(buffer.size()) +
-                                  " bytes matched a message of " +
-                                  std::to_string(it->payload.size()) +
-                                  " bytes"));
-      } else {
-        if (!it->payload.empty()) {
-          std::memcpy(buffer.data(), it->payload.data(), it->payload.size());
-        }
-        ticket->status = Status{it->src, it->tag, it->payload.size()};
-      }
-      ticket->flow = it->flow;
-      ticket->done = true;
       if (tracer_ != nullptr) {
-        tracer_->instant(owner_rank_, TraceOp::recv, "recv_match",
-                         ticket->status.source, ctx, ticket->status.tag,
-                         ticket->status.bytes, ticket->flow);
+        tracer_->instant(owner_rank_, TraceOp::recv, "recv_match", it->src,
+                         ctx, it->tag, it->payload.size(), it->flow);
       }
+      complete_match_locked(*it, *ticket);
       queue_.erase(it);
       if (metrics_ != nullptr) {
         metrics_->set_queue_depth(owner_rank_, queue_.size());
       }
     } else {
-      posted_.push_back(
-          PostedRecv{ctx, source, tag, buffer, ticket, expected});
+      posted_.push_back(ticket);
     }
   }
   return ticket;
@@ -407,24 +341,13 @@ std::shared_ptr<RecvTicket> Mailbox::post_recv(context_t ctx, rank_t source,
 
 Status Mailbox::wait(const std::shared_ptr<RecvTicket>& ticket,
                      Deadline deadline) {
-  const std::uint64_t t0 = tracer_ != nullptr ? tracer_->now_ns() : 0;
-  const std::uint64_t t0_metrics =
-      metrics_ != nullptr ? metrics_->now_ns() : 0;
+  const std::uint64_t t0 = stamp();
   std::unique_lock<std::mutex> lock(mutex_);
   wait_locked(
       lock, deadline, [&] { return ticket->done; }, "wait",
       ticket->context, ticket->source, ticket->tag);
   account_consumed_locked(*ticket);
-  if (ticket->error) std::rethrow_exception(ticket->error);
-  if (tracer_ != nullptr) {
-    tracer_->span_end(owner_rank_, TraceOp::recv, "wait", t0,
-                      ticket->status.source, ticket->context,
-                      ticket->status.tag, ticket->status.bytes, ticket->flow);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->on_match(owner_rank_, metrics_->now_ns() - t0_metrics);
-  }
-  return ticket->status;
+  return finish_recv_locked(*ticket, "wait", ticket->context, t0);
 }
 
 bool Mailbox::test(const std::shared_ptr<RecvTicket>& ticket, Status* out) {
@@ -454,25 +377,19 @@ bool Mailbox::test(const std::shared_ptr<RecvTicket>& ticket, Status* out) {
 void Mailbox::cancel(const std::shared_ptr<RecvTicket>& ticket) {
   const std::lock_guard<std::mutex> lock(mutex_);
   account_consumed_locked(*ticket);
-  std::erase_if(posted_,
-                [&](const PostedRecv& p) { return p.ticket == ticket; });
+  std::erase(posted_, ticket);
+}
+
+void Mailbox::abandon(const std::shared_ptr<RecvTicket>& ticket) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ticket->abandoned = true;
 }
 
 Status Mailbox::probe(context_t ctx, rank_t source, tag_t tag,
                       Deadline deadline) {
-  if (source == any_source) {
-    wildcard_recvs_.fetch_add(1, std::memory_order_relaxed);
-  }
   source = fence_wildcard(ctx, source, tag, "probe");
   std::unique_lock<std::mutex> lock(mutex_);
-  std::deque<Envelope>::iterator it;
-  wait_locked(
-      lock, deadline,
-      [&] {
-        it = find_locked(ctx, source, tag);
-        return it != queue_.end();
-      },
-      "probe", ctx, source, tag);
+  const auto it = wait_match_locked(lock, deadline, "probe", ctx, source, tag);
   return Status{it->src, it->tag, it->payload.size()};
 }
 
@@ -484,19 +401,12 @@ std::optional<Status> Mailbox::iprobe(context_t ctx, rank_t source, tag_t tag) {
     // the *choice among currently-queued senders* is still a decision the
     // engine must control and record.  A miss stays a miss.
     std::vector<rank_t> srcs;
-    for (const Envelope& e : queue_) {
-      if (matches(ctx, any_source, tag, e) &&
-          std::find(srcs.begin(), srcs.end(), e.src) == srcs.end()) {
-        srcs.push_back(e.src);
-      }
+    for (const WildcardCandidate& c : candidates_locked(ctx, tag)) {
+      srcs.push_back(c.src);
     }
-    if (!srcs.empty()) {
-      std::sort(srcs.begin(), srcs.end());
-      const rank_t chosen =
-          srcs.size() == 1 ? srcs.front()
-                           : sched_->resolve_immediate(owner_rank_, ctx, tag,
-                                                       srcs);
-      source = chosen;
+    if (srcs.size() == 1) source = srcs.front();
+    if (srcs.size() > 1) {
+      source = sched_->resolve_immediate(owner_rank_, ctx, tag, srcs);
     }
   }
   auto it = find_locked(ctx, source, tag);
@@ -522,6 +432,11 @@ std::optional<Status> Mailbox::iprobe(context_t ctx, rank_t source, tag_t tag) {
 std::vector<Mailbox::WildcardCandidate> Mailbox::wildcard_candidates(
     context_t ctx, tag_t tag) const {
   const std::lock_guard<std::mutex> lock(mutex_);
+  return candidates_locked(ctx, tag);
+}
+
+std::vector<Mailbox::WildcardCandidate> Mailbox::candidates_locked(
+    context_t ctx, tag_t tag) const {
   std::vector<WildcardCandidate> out;
   for (const Envelope& e : queue_) {
     if (!matches(ctx, any_source, tag, e)) continue;
@@ -548,30 +463,21 @@ std::size_t Mailbox::queued() const {
   return queue_.size();
 }
 
-std::size_t Mailbox::queue_high_water() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_high_water_;
-}
-
-void Mailbox::count_context_locked(context_t ctx) {
-  for (auto& [context, count] : delivered_by_context_) {
+void Mailbox::count_delivery_locked(context_t ctx, std::size_t bytes) {
+  ++counts_.messages;
+  counts_.bytes += bytes;
+  for (auto& [context, count] : counts_.by_context) {
     if (context == ctx) {
       ++count;
       return;
     }
   }
-  delivered_by_context_.emplace_back(ctx, 1);
+  counts_.by_context.emplace_back(ctx, 1);
 }
 
-std::vector<std::pair<context_t, std::uint64_t>>
-Mailbox::delivered_by_context() const {
+MailboxCounts Mailbox::counts() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return delivered_by_context_;
-}
-
-std::size_t Mailbox::posted() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return posted_.size();
+  return counts_;
 }
 
 MailboxDrain Mailbox::drain() {

@@ -53,23 +53,28 @@ struct Envelope {
   std::uint64_t flow = 0;
 };
 
-/// Completion state of a posted (nonblocking) receive.  Shared between the
-/// poster (who waits) and the delivering sender (who completes it).
+/// A posted (nonblocking) receive and its completion state.  Shared between
+/// the poster (who waits) and the delivering sender (who completes it).
 /// All fields are protected by the owning Mailbox's mutex.
 struct RecvTicket {
   bool done = false;
   Status status;                    ///< valid once done (source is global)
   std::exception_ptr error;         ///< set instead of status on failure
-  // Posted pattern, kept for timeout diagnostics.
+  // Posted pattern, matched by deliver() and named in timeout diagnostics.
   context_t context = kWorldContext;
   rank_t source = any_source;
   tag_t tag = any_tag;
+  std::span<std::byte> buffer;  ///< caller-owned; valid until done/abandoned
+  TypeSig expected{};           ///< receive-side type signature (empty = raw)
   /// Leak audit: flips when the request is waited/tested-done/cancelled, so
   /// each request is counted consumed at most once.
   bool accounted = false;
   /// Flow id of the envelope that completed this receive (0 until matched
   /// or when tracing is off) — recorded on the wait span.
   std::uint64_t flow = 0;
+  /// Set when the request handle died unconsumed: its buffer may be gone,
+  /// so deliver() passes this receive over (drain still reports it).
+  bool abandoned = false;
 };
 
 /// Deadline for blocking operations; Mailbox treats time_point::max() as
@@ -80,6 +85,16 @@ using Deadline = std::chrono::steady_clock::time_point;
 struct MailboxDrain {
   std::size_t envelopes = 0;       ///< queued, never-received messages
   std::size_t posted_recvs = 0;    ///< posted receives that never matched
+};
+
+/// Delivery counters of one mailbox, counted where envelopes land under the
+/// deliver-side lock (so drops never count); Job::stats() sums them.
+struct MailboxCounts {
+  std::uint64_t messages = 0;  ///< envelopes delivered
+  std::uint64_t bytes = 0;     ///< payload bytes delivered
+  /// Envelopes per communicator context (few per rank: a linear scan).
+  std::vector<std::pair<context_t, std::uint64_t>> by_context;
+  std::size_t queue_high_water = 0;  ///< max unmatched backlog ever seen
 };
 
 class Mailbox {
@@ -128,7 +143,9 @@ class Mailbox {
   /// receive's element-type signature for the type checker (empty = raw).
   Status recv(context_t ctx, rank_t source, tag_t tag,
               std::span<std::byte> buffer, Deadline deadline,
-              TypeSig expected = {});
+              TypeSig expected = {}) {
+    return receive(ctx, source, tag, buffer, deadline, expected, nullptr);
+  }
 
   /// Blocking receive that takes ownership of the payload (used when the
   /// receiver does not know the size in advance).
@@ -152,6 +169,10 @@ class Mailbox {
   /// Cancel a not-yet-matched posted receive (used on error unwind).
   void cancel(const std::shared_ptr<RecvTicket>& ticket);
 
+  /// Mark a posted receive whose handle died unconsumed: deliver() never
+  /// writes its buffer again, but it stays posted for the leak audit.
+  void abandon(const std::shared_ptr<RecvTicket>& ticket);
+
   /// Blocking probe: wait for a matching message without consuming it.
   Status probe(context_t ctx, rank_t source, tag_t tag, Deadline deadline);
 
@@ -164,20 +185,13 @@ class Mailbox {
   /// Number of queued (unmatched) envelopes — for tests/diagnostics.
   [[nodiscard]] std::size_t queued() const;
 
-  /// Largest queue_ size ever observed (backpressure high-water mark).
-  [[nodiscard]] std::size_t queue_high_water() const;
-
   /// Wildcard (ANY_SOURCE) receive operations this rank issued.
   [[nodiscard]] std::uint64_t wildcard_recvs() const noexcept {
     return wildcard_recvs_.load(std::memory_order_relaxed);
   }
 
-  /// Envelopes delivered to this mailbox per communicator context.
-  [[nodiscard]] std::vector<std::pair<context_t, std::uint64_t>>
-  delivered_by_context() const;
-
-  /// Number of outstanding posted receives.
-  [[nodiscard]] std::size_t posted() const;
+  /// Snapshot of the delivery counters.
+  [[nodiscard]] MailboxCounts counts() const;
 
   /// One matchable sender for a held wildcard receive: the first queued
   /// envelope from `src` matching the pattern (MPI non-overtaking makes it
@@ -200,15 +214,6 @@ class Mailbox {
   MailboxDrain drain();
 
  private:
-  struct PostedRecv {
-    context_t context;
-    rank_t source;
-    tag_t tag;
-    std::span<std::byte> buffer;
-    std::shared_ptr<RecvTicket> ticket;
-    TypeSig expected{};  ///< receive-side type signature (empty = raw)
-  };
-
   /// True when the (ctx,source,tag) pattern matches envelope `e`.
   static bool matches(context_t ctx, rank_t source, tag_t tag,
                       const Envelope& e) noexcept {
@@ -219,6 +224,13 @@ class Mailbox {
   /// Throws if the job (or this rank's failure domain) has aborted.
   /// Caller must hold `mutex_`.
   void check_abort_locked() const;
+
+  /// One stamp from the job clock for a receive's trace span and match
+  /// latency alike (0 when neither layer is on).
+  [[nodiscard]] std::uint64_t stamp() const noexcept {
+    if (tracer_ != nullptr) return tracer_->now_ns();
+    return metrics_ != nullptr ? metrics_->now_ns() : 0;
+  }
 
   /// Waits on the condition variable until `pred` or deadline/abort.
   /// Caller must hold `lock`.  Throws on timeout or abort; the timeout
@@ -234,24 +246,44 @@ class Mailbox {
                                                            rank_t source,
                                                            tag_t tag);
 
-  /// Verify a matched envelope's type signature against `expected`;
-  /// returns the TypeMismatchError to raise, or null when compatible.
-  /// Caller holds `mutex_`.
-  [[nodiscard]] std::exception_ptr check_types_locked(
-      const Envelope& env, const TypeSig& expected,
-      std::size_t buffer_bytes) const;
+  /// wildcard_candidates() body. Caller holds `mutex_`.
+  [[nodiscard]] std::vector<WildcardCandidate> candidates_locked(
+      context_t ctx, tag_t tag) const;
+
+  /// wait_locked until a queued envelope matches; returns it.
+  [[nodiscard]] std::deque<Envelope>::iterator wait_match_locked(
+      std::unique_lock<std::mutex>& lock, Deadline deadline,
+      const char* operation, context_t ctx, rank_t source, tag_t tag);
+
+  /// The one match path of every receive: scheduler on_match, type and
+  /// truncation checks against `rx`, then copy the payload into
+  /// `rx.buffer` (or move it into `*take`) and complete `rx`.  A failed
+  /// check stores its error in `rx`; `env` is consumed either way, as in
+  /// MPI.  Caller holds `mutex_`.
+  void complete_match_locked(Envelope& env, RecvTicket& rx,
+                             std::vector<std::byte>* take = nullptr);
+
+  /// Blocking receive behind recv() and recv_take().
+  Status receive(context_t ctx, rank_t source, tag_t tag,
+                 std::span<std::byte> buffer, Deadline deadline,
+                 const TypeSig& expected, std::vector<std::byte>* take);
+
+  /// Epilogue of recv, recv_take and wait: rethrow a match error, else
+  /// record the span (started at `t0`) and the match latency.
+  Status finish_recv_locked(const RecvTicket& done, const char* name,
+                            context_t ctx, std::uint64_t t0);
 
   /// Consume `ticket` for the leak audit exactly once. Caller holds `mutex_`.
   void account_consumed_locked(RecvTicket& ticket) const;
 
-  /// Verify-mode wildcard fence: when the pattern is ANY_SOURCE, hold the
-  /// owner at the scheduler until a sender is chosen and return the exact
-  /// source to match; otherwise return `source` unchanged.
+  /// For an ANY_SOURCE pattern: count the wildcard receive and, in verify
+  /// mode, hold the owner at the scheduler until it picks the exact source
+  /// to match.  Any other `source` is returned unchanged.
   [[nodiscard]] rank_t fence_wildcard(context_t ctx, rank_t source, tag_t tag,
                                       const char* operation);
 
-  /// Bump the delivered-per-context counter for `ctx`. Caller holds mutex_.
-  void count_context_locked(context_t ctx);
+  /// Count one delivered envelope. Caller holds mutex_.
+  void count_delivery_locked(context_t ctx, std::size_t bytes);
 
   const mph::atomic<bool>& abort_flag_;
   const std::string& abort_reason_;
@@ -266,11 +298,8 @@ class Mailbox {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Envelope> queue_;          ///< unmatched arrivals, in order
-  std::vector<PostedRecv> posted_;      ///< outstanding posted receives
-  std::size_t queue_high_water_ = 0;    ///< max queue_ size ever seen
-  /// Deliveries per context (few contexts per rank: linear scan under the
-  /// deliver-side lock).
-  std::vector<std::pair<context_t, std::uint64_t>> delivered_by_context_;
+  std::vector<std::shared_ptr<RecvTicket>> posted_;  ///< in posting order
+  MailboxCounts counts_;
   mph::atomic<std::uint64_t> wildcard_recvs_{0};
 
   // Failure-domain abort channel (null until set_domain).

@@ -77,20 +77,13 @@ MonitorOptions MonitorOptions::merged_with_env() const {
 // Registry
 // ---------------------------------------------------------------------------
 
-MetricsRegistry::MetricsRegistry(int world_size)
+MetricsRegistry::MetricsRegistry(int world_size, const JobClock& clock)
     : world_size_(std::max(world_size, 0)),
-      epoch_(std::chrono::steady_clock::now()),
+      clock_(clock),
       slots_(std::make_unique<RankSlots[]>(
           static_cast<std::size_t>(world_size_))),
       components_(static_cast<std::size_t>(world_size_)),
       probes_(static_cast<std::size_t>(world_size_)) {}
-
-std::uint64_t MetricsRegistry::now_ns() const noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
-}
 
 void MetricsRegistry::on_send(rank_t rank, std::uint64_t bytes) noexcept {
   if (!valid(rank)) return;
@@ -138,13 +131,11 @@ void MetricsRegistry::add_blocked_ns(rank_t rank, std::uint64_t ns) noexcept {
       ns, std::memory_order_relaxed);
 }
 
-std::uint64_t MetricsRegistry::note_block_start(rank_t rank) noexcept {
-  const std::uint64_t now = now_ns();
-  if (valid(rank)) {
-    slots_[static_cast<std::size_t>(rank)].blocked_since.store(
-        now, std::memory_order_relaxed);
-  }
-  return now;
+void MetricsRegistry::note_block_start(rank_t rank,
+                                       std::uint64_t start_ns) noexcept {
+  if (!valid(rank)) return;
+  slots_[static_cast<std::size_t>(rank)].blocked_since.store(
+      start_ns, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::note_block_end(rank_t rank,

@@ -110,9 +110,12 @@ struct MonitorOptions {
 /// Job::stats()).  This is the one job-wide counter struct: JobReport
 /// carries it directly, TraceReport embeds it for the Chrome-JSON rollup,
 /// and MetricsSnapshot embeds it so live telemetry and post-mortem traces
-/// never disagree about message counts.
+/// never disagree about message counts.  Messages and bytes are counted by
+/// the destination mailbox as envelopes land, after the fault filter, so
+/// injected drops are excluded and `messages` is the sum of
+/// `messages_by_context`.
 struct CommStats {
-  std::uint64_t messages = 0;            ///< envelopes delivered
+  std::uint64_t messages = 0;            ///< envelopes delivered (no drops)
   std::uint64_t payload_bytes = 0;       ///< payload volume delivered
   std::uint64_t contexts_allocated = 0;  ///< communicators created job-wide
   /// Largest unmatched-envelope backlog any single mailbox ever reached —
@@ -241,15 +244,20 @@ struct MetricsSnapshot {
 /// names, value probes).  Null when monitoring is off.
 class MetricsRegistry {
  public:
-  explicit MetricsRegistry(int world_size);
+  /// Latencies are read from `clock`: the Job passes its own; a
+  /// standalone registry uses the process clock.
+  explicit MetricsRegistry(int world_size,
+                           const JobClock& clock = JobClock::process());
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   [[nodiscard]] int world_size() const noexcept { return world_size_; }
 
-  /// Nanoseconds since this registry's construction (steady clock).
-  [[nodiscard]] std::uint64_t now_ns() const noexcept;
+  /// Nanoseconds since the clock's epoch.
+  [[nodiscard]] std::uint64_t now_ns() const noexcept {
+    return clock_.now_ns();
+  }
 
   // --- hot path (relaxed atomics, no locks) --------------------------------
 
@@ -264,9 +272,9 @@ class MetricsRegistry {
   /// folds the in-progress time into blocked_ns, so a live snapshot shows
   /// a *stuck* rank's blocking as it accrues — mph_watch's stall rule
   /// depends on this; the flushed counter alone only moves when a wait
-  /// completes, which a stalled rank's never does.  Returns the start
-  /// stamp to pass to note_block_end.
-  [[nodiscard]] std::uint64_t note_block_start(rank_t rank) noexcept;
+  /// completes, which a stalled rank's never does.  `start_ns` is a
+  /// now_ns() stamp; pass the same one to note_block_end.
+  void note_block_start(rank_t rank, std::uint64_t start_ns) noexcept;
   void note_block_end(rank_t rank, std::uint64_t start_ns) noexcept;
   /// Current unmatched backlog of the rank's mailbox; also maintains the
   /// high-water gauge.
@@ -325,7 +333,7 @@ class MetricsRegistry {
   }
 
   int world_size_;
-  std::chrono::steady_clock::time_point epoch_;
+  const JobClock& clock_;
   std::unique_ptr<RankSlots[]> slots_;
   mph::atomic<std::uint64_t> seq_{0};
 

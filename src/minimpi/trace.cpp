@@ -141,8 +141,8 @@ TraceRing::Snapshot TraceRing::snapshot() const {
 // Tracer
 // ---------------------------------------------------------------------------
 
-Tracer::Tracer(int world_size, TraceOptions options)
-    : options_(options), epoch_(std::chrono::steady_clock::now()) {
+Tracer::Tracer(int world_size, TraceOptions options, const JobClock& clock)
+    : options_(options), clock_(clock) {
   const auto n = static_cast<std::size_t>(world_size > 0 ? world_size : 0);
   rings_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -160,13 +160,6 @@ std::uint64_t Tracer::next_flow(rank_t src) noexcept {
           1, std::memory_order_relaxed) +
       1;
   return (static_cast<std::uint64_t>(src) + 1) << 40 | seq;
-}
-
-std::uint64_t Tracer::now_ns() const noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
 }
 
 void Tracer::instant(rank_t ring, TraceOp op, const char* name, rank_t peer,

@@ -35,7 +35,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -193,7 +192,9 @@ class TraceRing {
 /// cold metadata (track names, named counters).  Null when tracing is off.
 class Tracer {
  public:
-  Tracer(int world_size, TraceOptions options);
+  /// Timestamps are read from `clock` (the Job's), which must outlive
+  /// the tracer.
+  Tracer(int world_size, TraceOptions options, const JobClock& clock);
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -202,8 +203,10 @@ class Tracer {
     return options_;
   }
 
-  /// Nanoseconds since this tracer's construction (steady clock).
-  [[nodiscard]] std::uint64_t now_ns() const noexcept;
+  /// Nanoseconds since the job clock's epoch.
+  [[nodiscard]] std::uint64_t now_ns() const noexcept {
+    return clock_.now_ns();
+  }
 
   /// Record an instant on `ring`'s timeline (out-of-range rings are
   /// ignored).  `name` must point to static storage.
@@ -245,7 +248,7 @@ class Tracer {
   friend class Job;  // drains rings + metadata into a TraceReport
 
   TraceOptions options_;
-  std::chrono::steady_clock::time_point epoch_;
+  const JobClock& clock_;
   std::vector<std::unique_ptr<TraceRing>> rings_;
   /// Per-rank flow-id sequences (relaxed — ordering comes from the events).
   std::unique_ptr<mph::atomic<std::uint64_t>[]> flow_seq_;

@@ -10,6 +10,7 @@
 // another exactly like MPI contexts do.
 #pragma once
 
+#include <chrono>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -65,6 +66,29 @@ struct Status {
   [[nodiscard]] std::size_t count() const noexcept {
     return bytes / sizeof(T);
   }
+};
+
+/// The one steady-clock epoch of a job, owned by the Job: trace timestamps
+/// and metrics latencies are both nanoseconds since it, so a stamp taken
+/// through either layer is valid in the other.
+class JobClock {
+ public:
+  [[nodiscard]] std::uint64_t now_ns() const noexcept {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - epoch_)
+            .count());
+  }
+
+  /// Clock of a registry built outside any Job (unit tests, benchmarks).
+  static const JobClock& process() noexcept {
+    static const JobClock clock;
+    return clock;
+  }
+
+ private:
+  std::chrono::steady_clock::time_point epoch_ =
+      std::chrono::steady_clock::now();
 };
 
 }  // namespace minimpi

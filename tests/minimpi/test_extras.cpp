@@ -177,6 +177,38 @@ TEST(CommStats, SplitAllocatesOneContext) {
   EXPECT_EQ(report.stats.messages, 6u);
 }
 
+TEST(CommStats, DroppedMessagesAreNotCounted) {
+  // Counters are taken where envelopes land, so an injected drop is not a
+  // delivered message: the total equals the per-context sum and the byte
+  // count covers delivered payloads only.
+  JobOptions options;
+  options.recv_timeout = std::chrono::seconds(30);
+  EnvelopeMatch match;
+  match.tag = 5;
+  options.faults.drop(match);
+  const JobReport report = run_spmd(
+      2,
+      [](const Comm& world, const ExecEnv&) {
+        if (world.rank() == 0) {
+          world.send(1, 1, 5);  // dropped in flight
+          const std::vector<int> three{1, 2, 3};
+          world.send(std::span<const int>(three), 1, 6);
+        } else {
+          std::vector<int> three(3);
+          world.recv(std::span<int>(three), 0, 6);
+        }
+      },
+      options);
+  ASSERT_TRUE(report.ok) << report.abort_reason;
+  std::uint64_t by_context = 0;
+  for (const auto& [context, count] : report.stats.messages_by_context) {
+    by_context += count;
+  }
+  EXPECT_EQ(report.stats.messages, by_context);
+  EXPECT_EQ(report.stats.messages, 1u);
+  EXPECT_EQ(report.stats.payload_bytes, 3 * sizeof(int));
+}
+
 TEST(CommStats, QuietJobHasZeroTraffic) {
   const JobReport report =
       run_spmd(3, [](const Comm&, const ExecEnv&) {});

@@ -151,6 +151,33 @@ TEST_F(MailboxFixture, PostedTruncationSurfacesAtWait) {
   EXPECT_THROW(box.wait(ticket, soon), Error);
 }
 
+TEST_F(MailboxFixture, TruncatingRecvConsumesTheEnvelope) {
+  // As in MPI, and as on the posted path: the message that overflowed the
+  // buffer is consumed, not left queued to leak at drain.
+  box.deliver(make_env(1, 0, 0, {1, 2}));
+  int small = 0;
+  try {
+    box.recv(1, 0, 0, std::as_writable_bytes(std::span<int>(&small, 1)), soon);
+    ADD_FAILURE() << "an 8-byte message fit a 4-byte buffer";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::truncation);
+  }
+  EXPECT_EQ(box.queued(), 0u);
+}
+
+TEST_F(MailboxFixture, AbandonedPostedRecvIsPassedOver) {
+  int out = -1;
+  auto ticket = box.post_recv(1, any_source, any_tag,
+                              std::as_writable_bytes(std::span<int>(&out, 1)));
+  box.abandon(ticket);
+  box.deliver(make_env(1, 0, 0, {9}));
+  // The buffer is never written; the message waits for the next receive.
+  EXPECT_EQ(out, -1);
+  EXPECT_FALSE(ticket->done);
+  EXPECT_EQ(box.queued(), 1u);
+  EXPECT_EQ(box.drain().posted_recvs, 1u);
+}
+
 TEST_F(MailboxFixture, CancelRemovesPostedRecv) {
   int out = 0;
   auto ticket = box.post_recv(1, any_source, any_tag,

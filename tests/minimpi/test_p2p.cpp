@@ -239,6 +239,37 @@ TEST(P2P, TruncationOnBlockingRecv) {
   EXPECT_NE(report.first_error().find("truncation"), std::string::npos);
 }
 
+TEST(P2P, DroppedRequestNeverWritesItsBuffer) {
+  // A receive whose handle dies unconsumed (an exception unwinding past an
+  // irecv, say) must not let a later send write into its buffer, which may
+  // be gone by then.  The message stays queued for the next receive.
+  JobOptions options;
+  options.recv_timeout = std::chrono::seconds(5);
+  std::vector<int> sentinel(4, -7);
+  int later = 0;
+  const JobReport report = run_spmd(
+      2,
+      [&](const Comm& world, const ExecEnv&) {
+        if (world.rank() == 0) {
+          {
+            const Request dropped = world.irecv(std::span<int>(sentinel), 1, 3);
+            (void)dropped;
+          }
+          barrier(world);  // the handle is gone before the send...
+          barrier(world);  // ...and the send has landed
+          world.recv(later, 1, 3);
+        } else {
+          barrier(world);
+          world.send(42, 0, 3);
+          barrier(world);
+        }
+      },
+      options);
+  EXPECT_TRUE(report.ok) << report.first_error();
+  EXPECT_EQ(sentinel, std::vector<int>(4, -7));
+  EXPECT_EQ(later, 42);
+}
+
 TEST(P2P, SelfSendReceive) {
   run_ok(1, [](const Comm& world) {
     world.send(7, 0, 0);  // eager buffering makes self-send safe
