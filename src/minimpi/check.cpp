@@ -143,6 +143,7 @@ void Checker::block(rank_t waiter, rank_t waits_on, const char* op,
   edge.seen_epoch = epochs_[waiter].load(std::memory_order_acquire);
   edge.soft = false;
   edge.spins = 0;
+  edge.cycle.clear();
 }
 
 void Checker::refresh(rank_t waiter) noexcept {
@@ -300,11 +301,23 @@ std::optional<std::string> Checker::deadlock_cycle(rank_t rank) {
   {
     const std::lock_guard<std::mutex> lock(graph_mutex_);
     cycle = find_cycle_locked(rank);
-    if (cycle.empty()) return std::nullopt;
+    if (cycle.empty()) {
+      const std::string& seen = edges_[static_cast<std::size_t>(rank)].cycle;
+      if (seen.empty()) return std::nullopt;
+      return seen;
+    }
     snapshot = edges_;
   }
   // Format outside graph_mutex_: label_of takes the job's label lock.
   std::string text = format_cycle(cycle, snapshot);
+  {
+    // Members that time out after this one has unwound (and left the
+    // graph) report the same cycle instead of a bare timeout.
+    const std::lock_guard<std::mutex> lock(graph_mutex_);
+    for (const rank_t r : cycle) {
+      edges_[static_cast<std::size_t>(r)].cycle = text;
+    }
+  }
   {
     const std::lock_guard<std::mutex> lock(report_mutex_);
     deadlocks_.push_back(text);

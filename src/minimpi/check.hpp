@@ -363,6 +363,9 @@ class Checker {
     bool soft = false;
     std::uint64_t spins = 0;
     std::chrono::steady_clock::time_point last_spin{};
+    /// The reported cycle this wait is on: a member that times out after
+    /// another member reported it and left gets the same report.
+    std::string cycle;
   };
 
   /// Descriptor of the first report of one collective slot.

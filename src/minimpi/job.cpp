@@ -330,14 +330,15 @@ void Job::control_send(rank_t src_world, rank_t dest_world, tag_t control_tag,
 void Job::send_envelope(context_t ctx, rank_t src_world, rank_t dest_world,
                         tag_t tag, std::span<const std::byte> bytes,
                         TypeSig sig, const char* trace_name) {
-  // The vector clock and the flow id are stamped below and in deliver().
-  Envelope env{ctx, src_world, tag, {bytes.begin(), bytes.end()}, sig, {}, 0};
+  // The vector clock and the flow id are stamped below and in deliver();
+  // the payload stays borrowed, so an expected message is copied once.
+  Envelope head{ctx, src_world, tag, {}, sig, {}, 0};
   if (tracer_ != nullptr) {
-    env.flow = tracer_->next_flow(env.src);
-    tracer_->instant(env.src, TraceOp::send, trace_name, dest_world,
-                     env.context, env.tag, env.payload.size(), env.flow);
+    head.flow = tracer_->next_flow(head.src);
+    tracer_->instant(head.src, TraceOp::send, trace_name, dest_world,
+                     head.context, head.tag, bytes.size(), head.flow);
   }
-  mailbox(dest_world).deliver(std::move(env));
+  mailbox(dest_world).deliver(std::move(head), bytes);
 }
 
 CommStats Job::stats() const {

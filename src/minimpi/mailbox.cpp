@@ -144,12 +144,20 @@ std::deque<Envelope>::iterator Mailbox::wait_match_locked(
   return it;
 }
 
-void Mailbox::complete_match_locked(Envelope& env, RecvTicket& rx,
+void Mailbox::complete_match_locked(Envelope& env,
+                                    std::span<const std::byte> payload,
+                                    RecvTicket& rx,
                                     std::vector<std::byte>* take) {
+  const std::size_t bytes = payload.size();
+  if (tracer_ != nullptr && !rx.blocking) {
+    // A posted receive's match on the receiver's timeline (deliver records
+    // it from the sender's thread — the rings are multi-producer).
+    tracer_->instant(owner_rank_, TraceOp::recv, "recv_match", env.src,
+                     env.context, env.tag, bytes, env.flow);
+  }
   if (sched_ != nullptr) {
     sched_->on_match(owner_rank_, env.src, env.context, env.tag, env.vc);
   }
-  const std::size_t bytes = env.payload.size();
   const std::size_t room = take != nullptr ? bytes : rx.buffer.size();
   if (checker_ != nullptr) {
     if (auto mismatch =
@@ -168,12 +176,22 @@ void Mailbox::complete_match_locked(Envelope& env, RecvTicket& rx,
     if (take != nullptr) {
       *take = std::move(env.payload);
     } else if (bytes != 0) {
-      std::memcpy(rx.buffer.data(), env.payload.data(), bytes);
+      std::memcpy(rx.buffer.data(), payload.data(), bytes);
     }
     rx.status = Status{env.src, env.tag, bytes};
   }
   rx.flow = env.flow;
   rx.done = true;
+}
+
+void Mailbox::take_queued_locked(std::deque<Envelope>::iterator it,
+                                 RecvTicket& rx,
+                                 std::vector<std::byte>* take) {
+  complete_match_locked(*it, it->payload, rx, take);
+  queue_.erase(it);
+  if (metrics_ != nullptr) {
+    metrics_->set_queue_depth(owner_rank_, queue_.size());
+  }
 }
 
 void Mailbox::account_consumed_locked(RecvTicket& ticket) const {
@@ -196,14 +214,24 @@ rank_t Mailbox::fence_wildcard(context_t ctx, rank_t source, tag_t tag,
   return sched_->resolve_wildcard(owner_rank_, ctx, tag, operation);
 }
 
-void Mailbox::deliver(Envelope&& env) {
+void Mailbox::deliver(Envelope env, std::span<const std::byte> payload) {
+  // `payload` is borrowed unless it is env.payload (the owned overload).
+  const auto own = [&] {
+    if (payload.data() != env.payload.data()) {
+      env.payload.assign(payload.begin(), payload.end());
+    }
+    payload = env.payload;
+  };
   // Sends are counted before the fault filter: an injected drop is still a
   // send the application issued, and the sender/delivered gap is exactly the
   // in-flight + dropped message count the monitor surfaces.
-  if (metrics_ != nullptr) metrics_->on_send(env.src, env.payload.size());
-  if (faults_ != nullptr &&
-      faults_->filter(env, owner_rank_) == FaultInjector::Filter::drop) {
-    return;  // injected message loss
+  if (metrics_ != nullptr) metrics_->on_send(env.src, payload.size());
+  if (faults_ != nullptr) {
+    own();  // the filter edits env.payload (truncate rules)
+    if (faults_->filter(env, owner_rank_) == FaultInjector::Filter::drop) {
+      return;  // injected message loss
+    }
+    payload = env.payload;
   }
   // Vector-clock stamp for the send event (null unless verifying); taken
   // in the sender's thread before the destination mailbox is locked.
@@ -222,24 +250,19 @@ void Mailbox::deliver(Envelope&& env) {
       checker_->note_send(env.src);
     }
     if (sched_ != nullptr) sched_->note_delivery(owner_rank_);
-    count_delivery_locked(env.context, env.payload.size());
+    count_delivery_locked(env.context, payload.size());
     if (metrics_ != nullptr) {
-      metrics_->on_delivered(owner_rank_, env.payload.size());
+      metrics_->on_delivered(owner_rank_, payload.size());
     }
-    // Try to complete the earliest-posted live matching receive.
+    // Complete the earliest-posted live matching receive: the one copy.
     auto it = std::find_if(posted_.begin(), posted_.end(), [&](const auto& t) {
       return !t->abandoned && matches(t->context, t->source, t->tag, env);
     });
     if (it != posted_.end()) {
-      if (tracer_ != nullptr) {
-        // Posted-receive match on the receiver's timeline (recorded from
-        // the sender's thread — the rings are multi-producer).
-        tracer_->instant(owner_rank_, TraceOp::recv, "recv_match", env.src,
-                         env.context, env.tag, env.payload.size(), env.flow);
-      }
-      complete_match_locked(env, **it);
+      complete_match_locked(env, payload, **it);
       posted_.erase(it);
     } else {
+      own();  // unexpected: the queued envelope must own its bytes
       queue_.push_back(std::move(env));
       counts_.queue_high_water =
           std::max(counts_.queue_high_water, queue_.size());
@@ -252,32 +275,50 @@ void Mailbox::deliver(Envelope&& env) {
   cv_.notify_all();
 }
 
+Status Mailbox::recv(context_t ctx, rank_t source, tag_t tag,
+                     std::span<std::byte> buffer, Deadline deadline,
+                     TypeSig expected) {
+  const std::uint64_t t0 = stamp();
+  source = fence_wildcard(ctx, source, tag, "recv");
+  RecvTicket rx;
+  rx.context = ctx;
+  rx.source = source;
+  rx.tag = tag;
+  rx.buffer = buffer;
+  rx.expected = expected;
+  rx.blocking = true;
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (const auto it = find_locked(ctx, source, tag); it != queue_.end()) {
+    take_queued_locked(it, rx);
+  } else {
+    // Post the ticket itself through a non-owning pointer (no allocation,
+    // no leak-audit request): deliver() fills `buffer` directly.  It must
+    // leave posted_ before this frame does.
+    posted_.emplace_back(std::shared_ptr<void>{}, &rx);
+    try {
+      wait_locked(
+          lock, deadline, [&] { return rx.done; }, "recv", ctx, source, tag);
+    } catch (...) {
+      std::erase_if(posted_, [&](const auto& t) { return t.get() == &rx; });
+      throw;
+    }
+  }
+  return finish_recv_locked(rx, "recv", ctx, t0);
+}
+
 std::pair<Status, std::vector<std::byte>> Mailbox::recv_take(
     context_t ctx, rank_t source, tag_t tag, Deadline deadline,
     TypeSig expected) {
-  std::vector<std::byte> payload;
-  const Status status =
-      receive(ctx, source, tag, {}, deadline, expected, &payload);
-  return {status, std::move(payload)};
-}
-
-Status Mailbox::receive(context_t ctx, rank_t source, tag_t tag,
-                        std::span<std::byte> buffer, Deadline deadline,
-                        const TypeSig& expected,
-                        std::vector<std::byte>* take) {
   const std::uint64_t t0 = stamp();
   source = fence_wildcard(ctx, source, tag, "recv");
+  RecvTicket rx;
+  rx.expected = expected;
+  rx.blocking = true;
+  std::vector<std::byte> payload;
   std::unique_lock<std::mutex> lock(mutex_);
   const auto it = wait_match_locked(lock, deadline, "recv", ctx, source, tag);
-  RecvTicket done;
-  done.buffer = buffer;
-  done.expected = expected;
-  complete_match_locked(*it, done, take);
-  queue_.erase(it);
-  if (metrics_ != nullptr) {
-    metrics_->set_queue_depth(owner_rank_, queue_.size());
-  }
-  return finish_recv_locked(done, "recv", ctx, t0);
+  take_queued_locked(it, rx, &payload);
+  return {finish_recv_locked(rx, "recv", ctx, t0), std::move(payload)};
 }
 
 Status Mailbox::finish_recv_locked(const RecvTicket& done, const char* name,
@@ -321,17 +362,8 @@ std::shared_ptr<RecvTicket> Mailbox::post_recv(context_t ctx, rank_t source,
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (checker_ != nullptr) checker_->note_request_posted(owner_rank_);
-    auto it = find_locked(ctx, source, tag);
-    if (it != queue_.end()) {
-      if (tracer_ != nullptr) {
-        tracer_->instant(owner_rank_, TraceOp::recv, "recv_match", it->src,
-                         ctx, it->tag, it->payload.size(), it->flow);
-      }
-      complete_match_locked(*it, *ticket);
-      queue_.erase(it);
-      if (metrics_ != nullptr) {
-        metrics_->set_queue_depth(owner_rank_, queue_.size());
-      }
+    if (const auto it = find_locked(ctx, source, tag); it != queue_.end()) {
+      take_queued_locked(it, *ticket);
     } else {
       posted_.push_back(ticket);
     }

@@ -1,12 +1,15 @@
 // mailbox.hpp — per-rank message store with MPI matching semantics.
 //
 // Every rank of a job owns one Mailbox.  Senders call deliver() on the
-// destination's mailbox; the owning rank blocks in recv()/probe() or posts
-// asynchronous receives (post_recv) that a later deliver() completes in the
-// sender's thread.  Matching follows MPI: a receive (source, tag) matches an
-// envelope when context ids are equal and each of source/tag either equals
-// the envelope's or is a wildcard; envelopes from the same (source, tag) are
-// matched in arrival order (the MPI non-overtaking rule).
+// destination's mailbox; the owning rank posts receives (a blocking recv()
+// posts one and waits for it) that a later deliver() completes in the
+// sender's thread, copying the sender's bytes straight into the posted
+// buffer.  Only an *unexpected* message, one no receive is posted for yet,
+// is copied into an owned Envelope and queued.  Matching follows MPI: a
+// receive (source, tag) matches an envelope when context ids are equal and
+// each of source/tag either equals the envelope's or is a wildcard;
+// envelopes from the same (source, tag) are matched in arrival order (the
+// MPI non-overtaking rule).
 #pragma once
 
 #include <atomic>
@@ -75,6 +78,9 @@ struct RecvTicket {
   /// Set when the request handle died unconsumed: its buffer may be gone,
   /// so deliver() passes this receive over (drain still reports it).
   bool abandoned = false;
+  /// A blocking receive's own ticket: its `recv` span records the match,
+  /// so no `recv_match` instant is emitted for it.
+  bool blocking = false;
 };
 
 /// Deadline for blocking operations; Mailbox treats time_point::max() as
@@ -134,18 +140,24 @@ class Mailbox {
   /// blocking waits then also unwind when just this rank's domain aborts.
   void set_domain(const mph::atomic<bool>* flag, const std::string* reason);
 
-  /// Sender-side entry point: complete a matching posted receive or queue.
+  /// Sender-side entry point: copy the borrowed `payload` straight into a
+  /// matching posted receive, or into `head.payload` and queue `head`.
   /// Consults the fault injector first (drop/delay/truncate rules).
-  void deliver(Envelope&& env);
+  void deliver(Envelope head, std::span<const std::byte> payload);
 
-  /// Blocking receive into a caller-owned buffer.  Throws Errc::truncation
-  /// if the matched payload exceeds `buffer.size()`.  `expected` is the
-  /// receive's element-type signature for the type checker (empty = raw).
+  /// The same with an owned payload, moved into the queue if unexpected.
+  void deliver(Envelope&& env) {
+    const std::span<const std::byte> bytes = env.payload;
+    deliver(std::move(env), bytes);  // the move keeps the buffer: owned
+  }
+
+  /// Blocking receive into a caller-owned buffer: a queued match, or a
+  /// ticket posted on its own stack that deliver() fills.  Throws
+  /// Errc::truncation if the matched payload exceeds `buffer.size()`.
+  /// `expected` is the receive's type signature for the checker (empty = raw).
   Status recv(context_t ctx, rank_t source, tag_t tag,
               std::span<std::byte> buffer, Deadline deadline,
-              TypeSig expected = {}) {
-    return receive(ctx, source, tag, buffer, deadline, expected, nullptr);
-  }
+              TypeSig expected = {});
 
   /// Blocking receive that takes ownership of the payload (used when the
   /// receiver does not know the size in advance).
@@ -256,17 +268,18 @@ class Mailbox {
       const char* operation, context_t ctx, rank_t source, tag_t tag);
 
   /// The one match path of every receive: scheduler on_match, type and
-  /// truncation checks against `rx`, then copy the payload into
-  /// `rx.buffer` (or move it into `*take`) and complete `rx`.  A failed
-  /// check stores its error in `rx`; `env` is consumed either way, as in
-  /// MPI.  Caller holds `mutex_`.
-  void complete_match_locked(Envelope& env, RecvTicket& rx,
+  /// truncation checks against `rx`, then copy `payload` (env's bytes,
+  /// owned or borrowed) into `rx.buffer` — or move the owned payload into
+  /// `*take` — and complete `rx`.  A failed check stores its error in
+  /// `rx`; `env` is consumed either way, as in MPI.  Caller holds `mutex_`.
+  void complete_match_locked(Envelope& env,
+                             std::span<const std::byte> payload,
+                             RecvTicket& rx,
                              std::vector<std::byte>* take = nullptr);
 
-  /// Blocking receive behind recv() and recv_take().
-  Status receive(context_t ctx, rank_t source, tag_t tag,
-                 std::span<std::byte> buffer, Deadline deadline,
-                 const TypeSig& expected, std::vector<std::byte>* take);
+  /// complete_match_locked from queued envelope `it`, then erase it.
+  void take_queued_locked(std::deque<Envelope>::iterator it, RecvTicket& rx,
+                          std::vector<std::byte>* take = nullptr);
 
   /// Epilogue of recv, recv_take and wait: rethrow a match error, else
   /// record the span (started at `t0`) and the match latency.

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/minimpi/check.hpp"
 #include "src/minimpi/collectives.hpp"
 #include "src/minimpi/fault.hpp"
 #include "src/minimpi/launcher.hpp"
@@ -90,6 +91,29 @@ TEST(DeadlockCheck, BlockedReceiveTimeoutUpgradesToDeadlockError) {
   EXPECT_GE(report.check->deadlocks.size(), 1u);
   EXPECT_NE(report.first_error().find("deadlock"), std::string::npos)
       << report.first_error();
+}
+
+TEST(DeadlockCheck, MemberTimingOutAfterTheReporterLeftGetsTheSameCycle) {
+  // Both ranks of a cycle time out at about the same moment: the first
+  // reports the cycle and unwinds (leaving the graph) before the second
+  // looks.  The second must report the same cycle, not a bare timeout that
+  // could reach the job's abort record first.
+  CheckOptions options;
+  options.deadlock = true;
+  options.watch_interval = std::chrono::milliseconds(0);
+  minimpi::Checker checker(options, 2);
+  checker.block(0, 1, "recv", minimpi::kWorldContext, 7);
+  checker.block(1, 0, "recv", minimpi::kWorldContext, 9);
+  const auto first = checker.deadlock_cycle(1);
+  ASSERT_TRUE(first.has_value());
+  checker.unblock(1);
+  const auto second = checker.deadlock_cycle(0);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*second, *first);
+  EXPECT_EQ(checker.report().deadlocks.size(), 1u);  // reported once
+  // A later wait of the same rank starts clean.
+  checker.block(0, 1, "recv", minimpi::kWorldContext, 7);
+  EXPECT_FALSE(checker.deadlock_cycle(0).has_value());
 }
 
 TEST(DeadlockCheck, InjectedKillIsNotReportedAsDeadlock) {
