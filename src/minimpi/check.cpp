@@ -7,6 +7,7 @@
 
 #include "src/minimpi/job.hpp"
 #include "src/util/diagnostics.hpp"
+#include "src/util/strings.hpp"
 
 namespace minimpi {
 
@@ -22,18 +23,12 @@ CheckOptions CheckOptions::all() noexcept {
 
 CheckOptions CheckOptions::parse(std::string_view text) noexcept {
   CheckOptions o;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t end = text.find_first_of(", ", pos);
-    const std::string_view token =
-        text.substr(pos, end == std::string_view::npos ? end : end - pos);
+  for (const std::string_view token : mph::util::split_any(text, ", ")) {
     if (token == "all" || token == "1") return all();
     if (token == "deadlock") o.deadlock = true;
     if (token == "types") o.type_matching = true;
     if (token == "collectives") o.collectives = true;
     if (token == "leaks") o.leaks = true;
-    if (end == std::string_view::npos) break;
-    pos = end + 1;
   }
   return o;
 }
@@ -88,13 +83,11 @@ Checker::Checker(CheckOptions options, int world_size)
     : options_(options),
       world_size_(world_size),
       edges_(static_cast<std::size_t>(world_size)),
-      epochs_(new mph::atomic<std::uint64_t>[world_size]),
       live_comms_(new mph::atomic<std::int64_t>[world_size]),
       outstanding_requests_(new mph::atomic<std::int64_t>[world_size]),
       leaked_envelopes_(new mph::atomic<std::uint64_t>[world_size]),
       leaked_posted_(new mph::atomic<std::uint64_t>[world_size]) {
   for (int r = 0; r < world_size; ++r) {
-    epochs_[r].store(0, std::memory_order_relaxed);
     live_comms_[r].store(0, std::memory_order_relaxed);
     outstanding_requests_[r].store(0, std::memory_order_relaxed);
     leaked_envelopes_[r].store(0, std::memory_order_relaxed);
@@ -122,12 +115,6 @@ void Checker::stop() {
 
 // --- wait-for graph ---------------------------------------------------------
 
-void Checker::note_delivery(rank_t dest) noexcept {
-  if (!options_.deadlock) return;
-  if (dest < 0 || dest >= world_size_) return;
-  epochs_[dest].fetch_add(1, std::memory_order_release);
-}
-
 void Checker::block(rank_t waiter, rank_t waits_on, const char* op,
                     context_t ctx, tag_t tag) {
   if (!options_.deadlock) return;
@@ -140,7 +127,7 @@ void Checker::block(rank_t waiter, rank_t waits_on, const char* op,
   edge.op = op;
   edge.context = ctx;
   edge.tag = tag;
-  edge.seen_epoch = epochs_[waiter].load(std::memory_order_acquire);
+  edge.seen_epoch = epoch(waiter);
   edge.soft = false;
   edge.spins = 0;
   edge.cycle.clear();
@@ -152,7 +139,7 @@ void Checker::refresh(rank_t waiter) noexcept {
   const std::lock_guard<std::mutex> lock(graph_mutex_);
   BlockedEdge& edge = edges_[static_cast<std::size_t>(waiter)];
   if (edge.active) {
-    edge.seen_epoch = epochs_[waiter].load(std::memory_order_acquire);
+    edge.seen_epoch = epoch(waiter);
   }
 }
 
@@ -186,7 +173,7 @@ void Checker::iprobe_miss(rank_t owner, rank_t src, const char* op,
   // Same critical section as the failed match check (the caller holds the
   // owner's mailbox mutex), so the epoch-confirmation argument for hard
   // edges carries over to soft ones.
-  edge.seen_epoch = epochs_[owner].load(std::memory_order_acquire);
+  edge.seen_epoch = epoch(owner);
   edge.last_spin = std::chrono::steady_clock::now();
 }
 
@@ -227,8 +214,7 @@ std::vector<rank_t> Checker::find_cycle_locked(rank_t start) const {
     // Epoch confirmation: the waiter must have examined every delivery made
     // to it so far.  Otherwise a matching envelope may already be in its
     // queue and the "cycle" would resolve itself.
-    if (edge.seen_epoch !=
-        epochs_[current].load(std::memory_order_acquire)) {
+    if (edge.seen_epoch != epoch(current)) {
       return {};
     }
     // Soft (iprobe/test spin) edges prove far less than blocking ones: the
@@ -253,6 +239,10 @@ std::vector<rank_t> Checker::find_cycle_locked(rank_t start) const {
     current = next;
   }
   return {};
+}
+
+std::uint64_t Checker::epoch(rank_t world_rank) const {
+  return job_ != nullptr ? job_->mailbox(world_rank).delivered() : 0;
 }
 
 std::string Checker::label_of(rank_t world_rank) const {

@@ -27,9 +27,11 @@
 //
 // Soundness of the deadlock detector: each rank is one thread, so a rank
 // has at most one blocked mailbox wait at a time (one graph slot per world
-// rank).  A delivery epoch per rank is advanced under the destination
-// mailbox's mutex on every deliver(); a blocked waiter records the epoch it
-// has processed, in the same critical section as its failed match check.
+// rank).  A rank's delivery epoch is its mailbox's delivered-message count
+// (Mailbox::delivered()), advanced under that mailbox's mutex on every
+// deliver() that passes the fault filter; a blocked waiter records the
+// epoch it has processed, in the same critical section as its failed match
+// check.
 // An edge A->B with seen_epoch == epoch[A] therefore means A has examined
 // every envelope delivered so far and still matched nothing — and B, being
 // registered as blocked, cannot be concurrently sending.  A cycle of such
@@ -269,9 +271,6 @@ class Checker {
 
   // --- wait-for graph (all calls under the waiter's mailbox mutex) ---------
 
-  /// Advance `dest`'s delivery epoch (every Mailbox::deliver, any payload).
-  void note_delivery(rank_t dest) noexcept;
-
   /// Register that `waiter` is blocked waiting for a message from
   /// `waits_on` (world rank, possibly any_source).  `op` falls back to the
   /// thread's ScopedCheckOp label when one is set.
@@ -380,6 +379,9 @@ class Checker {
   };
 
   [[nodiscard]] std::string label_of(rank_t world_rank) const;
+  /// Delivery epoch of a valid rank: its mailbox's delivered count, or 0
+  /// when no job is bound (a standalone checker).
+  [[nodiscard]] std::uint64_t epoch(rank_t world_rank) const;
   [[nodiscard]] std::string describe_edge(rank_t waiter,
                                           const BlockedEdge& edge) const;
 
@@ -402,7 +404,6 @@ class Checker {
   // Wait-for graph.
   mutable std::mutex graph_mutex_;
   std::vector<BlockedEdge> edges_;  ///< slot per world rank
-  std::unique_ptr<mph::atomic<std::uint64_t>[]> epochs_;
 
   // Watcher.
   std::thread watcher_;

@@ -341,18 +341,26 @@ void Job::send_envelope(context_t ctx, rank_t src_world, rank_t dest_world,
   mailbox(dest_world).deliver(std::move(head), bytes);
 }
 
-CommStats Job::stats() const {
+std::vector<MailboxCounts> Job::mailbox_counts() const {
+  std::vector<MailboxCounts> counts;
+  counts.reserve(mailboxes_.size());
+  for (const auto& box : mailboxes_) counts.push_back(box->counts());
+  return counts;
+}
+
+CommStats Job::stats() const { return stats(mailbox_counts()); }
+
+CommStats Job::stats(const std::vector<MailboxCounts>& counts) const {
   CommStats s;
   s.contexts_allocated = contexts_allocated_.load(std::memory_order_relaxed);
   std::map<context_t, std::uint64_t> by_context;
-  for (const auto& box : mailboxes_) {
-    const MailboxCounts counts = box->counts();
-    s.messages += counts.messages;
-    s.payload_bytes += counts.bytes;
-    s.queue_high_water =
-        std::max<std::uint64_t>(s.queue_high_water, counts.queue_high_water);
-    s.wildcard_recvs += box->wildcard_recvs();
-    for (const auto& [ctx, count] : counts.by_context) by_context[ctx] += count;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    s.messages += counts[i].messages;
+    s.payload_bytes += counts[i].bytes;
+    s.queue_high_water = std::max<std::uint64_t>(s.queue_high_water,
+                                                 counts[i].queue_high_water);
+    s.wildcard_recvs += mailboxes_[i]->wildcard_recvs();
+    for (const auto& [ctx, n] : counts[i].by_context) by_context[ctx] += n;
   }
   s.messages_by_context.assign(by_context.begin(), by_context.end());
   return s;
@@ -367,10 +375,18 @@ MetricsSnapshot Job::metrics_snapshot() const {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
-  snap.comm = stats();
+  // One lock per mailbox: the same counts feed the job-wide totals and
+  // each rank's delivery facts.
+  const std::vector<MailboxCounts> counts = mailbox_counts();
+  snap.comm = stats(counts);
   snap.ranks.reserve(static_cast<std::size_t>(world_size_));
   for (rank_t r = 0; r < world_size_; ++r) {
     RankMetrics rank = metrics_->read_rank(r);
+    const MailboxCounts& box = counts[static_cast<std::size_t>(r)];
+    rank.delivered = box.messages;
+    rank.delivered_bytes = box.bytes;
+    rank.queue_depth = box.queue_depth;
+    rank.queue_high_water = box.queue_high_water;
     rank.alive = !rank_failed(r);
     if (rank.component.empty()) {
       // Pre-handshake (or non-MPH job): the executable label stands in,
@@ -384,7 +400,8 @@ MetricsSnapshot Job::metrics_snapshot() const {
 
 TraceReport Job::trace_report() const {
   TraceReport report;
-  report.comm = stats();
+  const std::vector<MailboxCounts> counts = mailbox_counts();
+  report.comm = stats(counts);
   if (tracer_ == nullptr) return report;
   report.ranks.reserve(static_cast<std::size_t>(world_size_));
   for (rank_t r = 0; r < world_size_; ++r) {
@@ -406,7 +423,7 @@ TraceReport Job::trace_report() const {
     TraceRing::Snapshot snap = tracer_->ring(i).snapshot();
     rank.events = std::move(snap.events);
     rank.dropped = snap.dropped;
-    rank.queue_high_water = mailboxes_[i]->counts().queue_high_water;
+    rank.queue_high_water = counts[i].queue_high_water;
     report.ranks.push_back(std::move(rank));
   }
   return report;

@@ -290,8 +290,10 @@ class Job {
   [[nodiscard]] TraceReport trace_report() const;
 
   /// Aggregate the metrics registry into one snapshot (empty ranks when
-  /// monitoring is off): registry slots plus the liveness flags and
-  /// component labels only the Job knows.  The monitor thread calls this
+  /// monitoring is off): registry slots plus what only the Job knows — the
+  /// liveness flags, component labels, and each rank's delivery facts
+  /// (delivered, delivered_bytes, queue_depth, queue_high_water) read from
+  /// its mailbox.  The monitor thread calls this
   /// every interval; run_mpmd calls it once more, after every rank thread
   /// joined, for the exact JobReport::metrics.
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
@@ -306,6 +308,11 @@ class Job {
   [[nodiscard]] JobDrain drain_all();
 
  private:
+  /// Every mailbox's counts, one lock each, in world-rank order.
+  [[nodiscard]] std::vector<MailboxCounts> mailbox_counts() const;
+  /// stats() from counts already taken.
+  [[nodiscard]] CommStats stats(const std::vector<MailboxCounts>& counts) const;
+
   struct FailureDomain {
     std::string label;
     std::vector<rank_t> ranks;

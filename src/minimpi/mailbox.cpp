@@ -189,9 +189,6 @@ void Mailbox::take_queued_locked(std::deque<Envelope>::iterator it,
                                  std::vector<std::byte>* take) {
   complete_match_locked(*it, it->payload, rx, take);
   queue_.erase(it);
-  if (metrics_ != nullptr) {
-    metrics_->set_queue_depth(owner_rank_, queue_.size());
-  }
 }
 
 void Mailbox::account_consumed_locked(RecvTicket& ticket) const {
@@ -240,20 +237,14 @@ void Mailbox::deliver(Envelope env, std::span<const std::byte> payload) {
   }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    // Epoch bumps under the same mutex the owner's wait predicate runs
-    // under: a blocked waiter whose seen-epoch equals the current epoch has
-    // provably examined this (and every earlier) delivery.  note_send
-    // additionally invalidates any iprobe-spin edge the *sender* held — it
-    // is visibly making progress.
-    if (checker_ != nullptr) {
-      checker_->note_delivery(owner_rank_);
-      checker_->note_send(env.src);
-    }
-    if (sched_ != nullptr) sched_->note_delivery(owner_rank_);
+    // The delivered count is the checker's epoch.  It advances under the
+    // same mutex the owner's wait predicate runs under: a blocked waiter
+    // whose seen-epoch equals the current count has provably examined this
+    // (and every earlier) delivery.  note_send invalidates any iprobe-spin
+    // edge the *sender* held — it is visibly making progress.
     count_delivery_locked(env.context, payload.size());
-    if (metrics_ != nullptr) {
-      metrics_->on_delivered(owner_rank_, payload.size());
-    }
+    if (checker_ != nullptr) checker_->note_send(env.src);
+    if (sched_ != nullptr) sched_->note_delivery(owner_rank_);
     // Complete the earliest-posted live matching receive: the one copy.
     auto it = std::find_if(posted_.begin(), posted_.end(), [&](const auto& t) {
       return !t->abandoned && matches(t->context, t->source, t->tag, env);
@@ -264,11 +255,7 @@ void Mailbox::deliver(Envelope env, std::span<const std::byte> payload) {
     } else {
       own();  // unexpected: the queued envelope must own its bytes
       queue_.push_back(std::move(env));
-      counts_.queue_high_water =
-          std::max(counts_.queue_high_water, queue_.size());
-      if (metrics_ != nullptr) {
-        metrics_->set_queue_depth(owner_rank_, queue_.size());
-      }
+      queue_high_water_ = std::max(queue_high_water_, queue_.size());
     }
   }
   // Ticket completion is observed through the same cv.
@@ -496,20 +483,25 @@ std::size_t Mailbox::queued() const {
 }
 
 void Mailbox::count_delivery_locked(context_t ctx, std::size_t bytes) {
-  ++counts_.messages;
-  counts_.bytes += bytes;
-  for (auto& [context, count] : counts_.by_context) {
+  // Only deliver() writes, under mutex_: a load plus a store loses no count
+  // and needs no locked read-modify-write.
+  delivered_.store(delivered_.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_release);
+  delivered_bytes_ += bytes;
+  for (auto& [context, count] : by_context_) {
     if (context == ctx) {
       ++count;
       return;
     }
   }
-  counts_.by_context.emplace_back(ctx, 1);
+  by_context_.emplace_back(ctx, 1);
 }
 
 MailboxCounts Mailbox::counts() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return counts_;
+  return MailboxCounts{delivered_.load(std::memory_order_relaxed),
+                       delivered_bytes_, by_context_, queue_.size(),
+                       queue_high_water_};
 }
 
 MailboxDrain Mailbox::drain() {

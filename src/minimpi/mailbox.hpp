@@ -93,13 +93,16 @@ struct MailboxDrain {
   std::size_t posted_recvs = 0;    ///< posted receives that never matched
 };
 
-/// Delivery counters of one mailbox, counted where envelopes land under the
-/// deliver-side lock (so drops never count); Job::stats() sums them.
+/// Snapshot of one mailbox's delivery facts.  The mailbox is their only
+/// owner: it counts where envelopes land, under the deliver-side lock and
+/// after the fault filter (so drops never count).  Job::stats() sums them;
+/// Job::metrics_snapshot() reports them per rank.
 struct MailboxCounts {
   std::uint64_t messages = 0;  ///< envelopes delivered
   std::uint64_t bytes = 0;     ///< payload bytes delivered
   /// Envelopes per communicator context (few per rank: a linear scan).
   std::vector<std::pair<context_t, std::uint64_t>> by_context;
+  std::size_t queue_depth = 0;       ///< unmatched backlog right now
   std::size_t queue_high_water = 0;  ///< max unmatched backlog ever seen
 };
 
@@ -117,8 +120,8 @@ class Mailbox {
   /// through explicit scheduler decisions instead of arrival order.
   /// `tracer` is the job's event tracer (null = tracing off): match points
   /// and blocked intervals record onto the owner rank's ring.  `metrics`
-  /// is the job's mph_mon registry (null = monitoring off): send/recv
-  /// counts, match latency, queue depth, and blocked time land there.
+  /// is the job's mph_mon registry (null = monitoring off): send counts,
+  /// match latency and blocked time land there.
   Mailbox(const mph::atomic<bool>& abort_flag, const std::string& abort_reason,
           rank_t owner_rank = 0, FaultInjector* faults = nullptr,
           Checker* checker = nullptr, Scheduler* sched = nullptr,
@@ -202,8 +205,14 @@ class Mailbox {
     return wildcard_recvs_.load(std::memory_order_relaxed);
   }
 
-  /// Snapshot of the delivery counters.
+  /// Snapshot of the delivery counters (one lock).
   [[nodiscard]] MailboxCounts counts() const;
+
+  /// Envelopes delivered so far, read without the lock: the deadlock
+  /// checker's delivery epoch of this rank (see check.hpp).
+  [[nodiscard]] std::uint64_t delivered() const noexcept {
+    return delivered_.load(std::memory_order_acquire);
+  }
 
   /// One matchable sender for a held wildcard receive: the first queued
   /// envelope from `src` matching the pattern (MPI non-overtaking makes it
@@ -312,7 +321,11 @@ class Mailbox {
   std::condition_variable cv_;
   std::deque<Envelope> queue_;          ///< unmatched arrivals, in order
   std::vector<std::shared_ptr<RecvTicket>> posted_;  ///< in posting order
-  MailboxCounts counts_;
+  // Delivery facts (see MailboxCounts), written under mutex_ only.
+  mph::atomic<std::uint64_t> delivered_{0};  ///< lock-free readable
+  std::uint64_t delivered_bytes_ = 0;
+  std::vector<std::pair<context_t, std::uint64_t>> by_context_;
+  std::size_t queue_high_water_ = 0;
   mph::atomic<std::uint64_t> wildcard_recvs_{0};
 
   // Failure-domain abort channel (null until set_domain).

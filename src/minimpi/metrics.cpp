@@ -7,6 +7,8 @@
 #include <system_error>
 
 #include "src/util/diagnostics.hpp"
+#include "src/util/json.hpp"
+#include "src/util/strings.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MPH_MONITOR_HAS_UNIX_SOCKET 1
@@ -27,11 +29,7 @@ namespace minimpi {
 
 MonitorOptions MonitorOptions::parse(std::string_view text) {
   MonitorOptions opts;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find_first_of(", ", start);
-    const std::string_view token =
-        text.substr(start, end == std::string_view::npos ? end : end - start);
+  for (const std::string_view token : mph::util::split_any(text, ", ")) {
     if (token == "1" || token == "on" || token == "true") {
       opts.enabled = true;
     } else if (token.rfind("interval=", 0) == 0) {
@@ -47,8 +45,6 @@ MonitorOptions MonitorOptions::parse(std::string_view text) {
     } else if (token == "nosocket") {
       opts.socket = false;
     }
-    if (end == std::string_view::npos) break;
-    start = end + 1;
   }
   return opts;
 }
@@ -90,13 +86,6 @@ void MetricsRegistry::on_send(rank_t rank, std::uint64_t bytes) noexcept {
   RankSlots& s = slots_[static_cast<std::size_t>(rank)];
   s.sends.fetch_add(1, std::memory_order_relaxed);
   s.send_bytes.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::on_delivered(rank_t rank, std::uint64_t bytes) noexcept {
-  if (!valid(rank)) return;
-  RankSlots& s = slots_[static_cast<std::size_t>(rank)];
-  s.delivered.fetch_add(1, std::memory_order_relaxed);
-  s.delivered_bytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::on_match(rank_t rank, std::uint64_t latency_ns) noexcept {
@@ -151,18 +140,6 @@ void MetricsRegistry::note_block_end(rank_t rank,
   }
 }
 
-void MetricsRegistry::set_queue_depth(rank_t rank,
-                                      std::uint64_t depth) noexcept {
-  if (!valid(rank)) return;
-  RankSlots& s = slots_[static_cast<std::size_t>(rank)];
-  s.queue_depth.store(depth, std::memory_order_relaxed);
-  // Callers update under the owning mailbox's mutex, so a plain
-  // load-compare-store cannot lose a maximum to a concurrent writer.
-  if (depth > s.queue_high_water.load(std::memory_order_relaxed)) {
-    s.queue_high_water.store(depth, std::memory_order_relaxed);
-  }
-}
-
 void MetricsRegistry::set_component(rank_t rank, std::string name) {
   if (!valid(rank)) return;
   const std::lock_guard<std::mutex> lock(meta_mutex_);
@@ -197,8 +174,6 @@ RankMetrics MetricsRegistry::read_rank(rank_t rank) const {
   out.world_rank = rank;
   out.sends = s.sends.load(std::memory_order_relaxed);
   out.send_bytes = s.send_bytes.load(std::memory_order_relaxed);
-  out.delivered = s.delivered.load(std::memory_order_relaxed);
-  out.delivered_bytes = s.delivered_bytes.load(std::memory_order_relaxed);
   out.collectives = s.collectives.load(std::memory_order_relaxed);
   out.faults = s.faults.load(std::memory_order_relaxed);
   out.blocked_ns = s.blocked_ns.load(std::memory_order_relaxed);
@@ -209,8 +184,6 @@ RankMetrics MetricsRegistry::read_rank(rank_t rank) const {
     const std::uint64_t now = now_ns();
     if (now > since) out.blocked_ns += now - since;
   }
-  out.queue_depth = s.queue_depth.load(std::memory_order_relaxed);
-  out.queue_high_water = s.queue_high_water.load(std::memory_order_relaxed);
   out.handshake_ns = s.handshake_ns.load(std::memory_order_relaxed);
   // Count first with acquire, paired with on_match's release increment:
   // every event visible in `count` is then also visible in `sum` and the
@@ -238,26 +211,7 @@ RankMetrics MetricsRegistry::read_rank(rank_t rank) const {
 
 namespace {
 
-void append_json_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-}
+using mph::util::append_json_escaped;
 
 /// Escape a Prometheus label value (backslash, quote, newline).
 void append_prom_escaped(std::string& out, std::string_view text) {

@@ -262,7 +262,6 @@ class MetricsRegistry {
   // --- hot path (relaxed atomics, no locks) --------------------------------
 
   void on_send(rank_t rank, std::uint64_t bytes) noexcept;
-  void on_delivered(rank_t rank, std::uint64_t bytes) noexcept;
   /// A receive completed after waiting `latency_ns` (count + histogram).
   void on_match(rank_t rank, std::uint64_t latency_ns) noexcept;
   void on_collective(rank_t rank) noexcept;
@@ -276,9 +275,6 @@ class MetricsRegistry {
   /// now_ns() stamp; pass the same one to note_block_end.
   void note_block_start(rank_t rank, std::uint64_t start_ns) noexcept;
   void note_block_end(rank_t rank, std::uint64_t start_ns) noexcept;
-  /// Current unmatched backlog of the rank's mailbox; also maintains the
-  /// high-water gauge.
-  void set_queue_depth(rank_t rank, std::uint64_t depth) noexcept;
 
   // --- cold path (mutex-guarded; handshake / setup only) -------------------
 
@@ -298,8 +294,9 @@ class MetricsRegistry {
 
   // --- reader side ---------------------------------------------------------
 
-  /// Aggregate one rank's slots (component/alive left at defaults — the
-  /// Job fills those from its own liveness state).
+  /// Aggregate one rank's slots.  The Job fills the rest: alive from its
+  /// liveness state, and delivered, delivered_bytes, queue_depth and
+  /// queue_high_water from the rank's mailbox, which owns those facts.
   [[nodiscard]] RankMetrics read_rank(rank_t rank) const;
 
   /// Next snapshot sequence number (monotone, starts at 1).
@@ -313,14 +310,10 @@ class MetricsRegistry {
   struct alignas(64) RankSlots {
     mph::atomic<std::uint64_t> sends{0};
     mph::atomic<std::uint64_t> send_bytes{0};
-    mph::atomic<std::uint64_t> delivered{0};
-    mph::atomic<std::uint64_t> delivered_bytes{0};
     mph::atomic<std::uint64_t> collectives{0};
     mph::atomic<std::uint64_t> faults{0};
     mph::atomic<std::uint64_t> blocked_ns{0};
     mph::atomic<std::uint64_t> blocked_since{0};  ///< 0 = no wait open
-    mph::atomic<std::uint64_t> queue_depth{0};
-    mph::atomic<std::uint64_t> queue_high_water{0};
     mph::atomic<std::uint64_t> handshake_ns{0};
     mph::atomic<std::uint64_t> latency_count{0};
     mph::atomic<std::uint64_t> latency_sum{0};

@@ -4,6 +4,9 @@
 #include <cstdlib>
 #include <map>
 
+#include "src/util/json.hpp"
+#include "src/util/strings.hpp"
+
 namespace minimpi {
 
 // ---------------------------------------------------------------------------
@@ -12,11 +15,7 @@ namespace minimpi {
 
 TraceOptions TraceOptions::parse(std::string_view text) noexcept {
   TraceOptions opts;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find_first_of(", ", start);
-    const std::string_view token =
-        text.substr(start, end == std::string_view::npos ? end : end - start);
+  for (const std::string_view token : mph::util::split_any(text, ", ")) {
     if (token == "1" || token == "on" || token == "all" || token == "true") {
       opts.enabled = true;
     } else if (token.rfind("capacity=", 0) == 0) {
@@ -27,8 +26,6 @@ TraceOptions TraceOptions::parse(std::string_view text) noexcept {
         opts.ring_capacity = static_cast<std::size_t>(parsed);
       }
     }
-    if (end == std::string_view::npos) break;
-    start = end + 1;
   }
   return opts;
 }
@@ -310,26 +307,7 @@ std::vector<TraceReport::RankBlocked> TraceReport::blocked_breakdown() const {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-}
+using mph::util::append_json_escaped;
 
 /// Nanoseconds as a microsecond decimal ("1234.567") — the trace-event
 /// `ts`/`dur` unit — without any floating-point rounding.
@@ -356,14 +334,14 @@ std::string TraceReport::to_chrome_json() const {
     out += ",\n";
     out += R"({"name":"thread_name","ph":"M","pid":0,"tid":)" + tid +
            R"(,"args":{"name":")";
-    append_escaped(out, r.track);
+    append_json_escaped(out, r.track);
     out += "\"}}";
     out += ",\n";
     out += R"({"name":"thread_sort_index","ph":"M","pid":0,"tid":)" + tid +
            R"(,"args":{"sort_index":)" + tid + "}}";
     for (const TraceEvent& e : r.events) {
       out += ",\n{\"name\":\"";
-      append_escaped(out, e.name);
+      append_json_escaped(out, e.name);
       out += "\",\"cat\":\"";
       out += trace_op_category(e.op);
       out += "\",\"pid\":0,\"tid\":" + tid;
@@ -408,9 +386,9 @@ std::string TraceReport::to_chrome_json() const {
   for (std::size_t i = 0; i < traffic.size(); ++i) {
     if (i > 0) out += ", ";
     out += "{\"src\": \"";
-    append_escaped(out, traffic[i].src);
+    append_json_escaped(out, traffic[i].src);
     out += "\", \"dest\": \"";
-    append_escaped(out, traffic[i].dest);
+    append_json_escaped(out, traffic[i].dest);
     out += "\", \"messages\": " + std::to_string(traffic[i].messages) +
            ", \"bytes\": " + std::to_string(traffic[i].bytes) + "}";
   }
@@ -420,7 +398,7 @@ std::string TraceReport::to_chrome_json() const {
     const RankTrace& r = ranks[i];
     if (i > 0) out += ", ";
     out += "\n{\"rank\": " + std::to_string(r.world_rank) + ", \"track\": \"";
-    append_escaped(out, r.track);
+    append_json_escaped(out, r.track);
     out += "\", \"events\": " + std::to_string(r.events.size()) +
            ", \"dropped\": " + std::to_string(r.dropped) +
            ", \"queueHighWater\": " + std::to_string(r.queue_high_water);
@@ -433,7 +411,7 @@ std::string TraceReport::to_chrome_json() const {
     for (std::size_t c = 0; c < r.counters.size(); ++c) {
       if (c > 0) out += ", ";
       out += "{\"name\": \"";
-      append_escaped(out, r.counters[c].first);
+      append_json_escaped(out, r.counters[c].first);
       out += "\", \"value\": " + std::to_string(r.counters[c].second) + "}";
     }
     out += "]}";

@@ -1,11 +1,10 @@
 #include "src/minimpi/verify/trace.hpp"
 
-#include <cctype>
 #include <cstddef>
 #include <sstream>
-#include <string_view>
 
 #include "src/minimpi/error.hpp"
+#include "src/util/json.hpp"
 
 namespace minimpi::verify {
 
@@ -34,180 +33,84 @@ std::string Trace::to_json() const {
 }
 
 // ---------------------------------------------------------------------------
-// Parser — a recursive-descent reader for exactly the JSON subset the
-// writer produces (objects, arrays, strings without escapes, integers,
-// booleans), tolerant of whitespace and key order.
+// Reader — walks the util/json document, rejecting unknown keys and any
+// version other than 1.  Every failure names the byte offset of the input
+// or value at fault.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
+using mph::util::JsonValue;
 
-  [[nodiscard]] Trace parse() {
-    Trace trace;
-    expect('{');
-    bool first = true;
-    while (!peek_is('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "seed") {
-        trace.seed = static_cast<std::uint64_t>(parse_int());
-      } else if (key == "version") {
-        const std::int64_t version = parse_int();
-        if (version != 1) {
-          fail("unsupported trace version " + std::to_string(version));
-        }
-      } else if (key == "decisions") {
-        trace.decisions = parse_decisions();
-      } else {
-        fail("unknown key \"" + key + "\"");
+[[noreturn]] void fail(std::size_t offset, const std::string& why) {
+  throw Error(Errc::invalid_argument,
+              "trace parse error at offset " + std::to_string(offset) + ": " +
+                  why);
+}
+
+/// An integer field: a JSON number with no fraction.
+long long integer(const JsonValue& v) {
+  const long long n = v.as_int();
+  if (static_cast<double>(n) != v.as_number()) {
+    fail(v.offset(), "expected an integer");
+  }
+  return n;
+}
+
+Decision read_decision(const JsonValue& v) {
+  Decision d;
+  for (const auto& [key, value] : v.members()) {
+    if (key == "step") {
+      (void)integer(value);  // informational; order in the array is binding
+    } else if (key == "rank") {
+      d.rank = static_cast<rank_t>(integer(value));
+    } else if (key == "op") {
+      d.op = value.as_string();
+    } else if (key == "context") {
+      d.context = static_cast<context_t>(integer(value));
+    } else if (key == "tag") {
+      d.tag = static_cast<tag_t>(integer(value));
+    } else if (key == "chose") {
+      d.chose = static_cast<rank_t>(integer(value));
+    } else if (key == "candidates") {
+      for (const JsonValue& c : value.items()) {
+        d.candidates.push_back(static_cast<rank_t>(integer(c)));
       }
-    }
-    expect('}');
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after trace");
-    return trace;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw Error(Errc::invalid_argument,
-                "trace parse error at offset " + std::to_string(pos_) + ": " +
-                    why);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
+    } else if (key == "immediate") {
+      d.immediate = value.as_bool();
+    } else {
+      fail(value.offset(), "unknown decision key \"" + key + "\"");
     }
   }
-
-  [[nodiscard]] bool peek_is(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') fail("escape sequences are not supported");
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    std::string out(text_.substr(start, pos_ - start));
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  [[nodiscard]] std::int64_t parse_int() {
-    skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      fail("expected an integer");
-    }
-    std::int64_t value = 0;
-    const bool negative = text_[start] == '-';
-    for (std::size_t i = start + (negative ? 1 : 0); i < pos_; ++i) {
-      value = value * 10 + (text_[i] - '0');
-    }
-    return negative ? -value : value;
-  }
-
-  [[nodiscard]] bool parse_bool() {
-    skip_ws();
-    if (text_.substr(pos_, 4) == "true") {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.substr(pos_, 5) == "false") {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected true/false");
-  }
-
-  [[nodiscard]] std::vector<rank_t> parse_rank_array() {
-    std::vector<rank_t> out;
-    expect('[');
-    while (!peek_is(']')) {
-      if (!out.empty()) expect(',');
-      out.push_back(static_cast<rank_t>(parse_int()));
-    }
-    expect(']');
-    return out;
-  }
-
-  [[nodiscard]] Decision parse_decision() {
-    Decision d;
-    expect('{');
-    bool first = true;
-    while (!peek_is('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "step") {
-        (void)parse_int();  // informational; order in the array is binding
-      } else if (key == "rank") {
-        d.rank = static_cast<rank_t>(parse_int());
-      } else if (key == "op") {
-        d.op = parse_string();
-      } else if (key == "context") {
-        d.context = static_cast<context_t>(parse_int());
-      } else if (key == "tag") {
-        d.tag = static_cast<tag_t>(parse_int());
-      } else if (key == "chose") {
-        d.chose = static_cast<rank_t>(parse_int());
-      } else if (key == "candidates") {
-        d.candidates = parse_rank_array();
-      } else if (key == "immediate") {
-        d.immediate = parse_bool();
-      } else {
-        fail("unknown decision key \"" + key + "\"");
-      }
-    }
-    expect('}');
-    return d;
-  }
-
-  [[nodiscard]] std::vector<Decision> parse_decisions() {
-    std::vector<Decision> out;
-    expect('[');
-    while (!peek_is(']')) {
-      if (!out.empty()) expect(',');
-      out.push_back(parse_decision());
-    }
-    expect(']');
-    return out;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+  return d;
+}
 
 }  // namespace
 
 Trace Trace::from_json(const std::string& text) {
-  return Parser(text).parse();
+  try {
+    const JsonValue doc = JsonValue::parse(text);
+    Trace trace;
+    for (const auto& [key, value] : doc.members()) {
+      if (key == "seed") {
+        trace.seed = value.as_uint64();  // exact over the whole u64 range
+      } else if (key == "version") {
+        if (integer(value) != 1) {
+          fail(value.offset(), "unsupported trace version " +
+                                   std::to_string(integer(value)));
+        }
+      } else if (key == "decisions") {
+        for (const JsonValue& d : value.items()) {
+          trace.decisions.push_back(read_decision(d));
+        }
+      } else {
+        fail(value.offset(), "unknown key \"" + key + "\"");
+      }
+    }
+    return trace;
+  } catch (const mph::util::JsonError& e) {
+    fail(e.offset(), e.what());
+  }
 }
 
 // ---------------------------------------------------------------------------

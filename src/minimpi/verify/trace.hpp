@@ -11,8 +11,8 @@
 // in program order), collectives are built on exact-source traffic, and
 // all job randomness flows from the recorded seed.
 //
-// The on-disk format is a small JSON document, written and parsed here
-// with no external dependencies:
+// The on-disk format is a small JSON document, written here and read
+// through src/util/json (seeds exactly, over the whole uint64_t range):
 //
 //   {
 //     "version": 1,

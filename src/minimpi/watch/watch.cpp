@@ -8,6 +8,8 @@
 
 #include "src/minimpi/prof/profile.hpp"
 #include "src/util/diagnostics.hpp"
+#include "src/util/json.hpp"
+#include "src/util/strings.hpp"
 
 namespace minimpi::watch {
 
@@ -21,11 +23,7 @@ WatchOptions WatchOptions::parse(std::string_view text) {
     const std::string value(token.substr(prefix));
     return std::strtod(value.c_str(), nullptr);
   };
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find_first_of(", ", start);
-    const std::string_view token =
-        text.substr(start, end == std::string_view::npos ? end : end - start);
+  for (const std::string_view token : mph::util::split_any(text, ", ")) {
     if (token == "1" || token == "on" || token == "true") {
       opts.enabled = true;
     } else if (token.rfind("stall=", 0) == 0) {
@@ -60,8 +58,6 @@ WatchOptions WatchOptions::parse(std::string_view text) {
     } else if (token == "noflight") {
       opts.flight_record = false;
     }
-    if (end == std::string_view::npos) break;
-    start = end + 1;
   }
   return opts;
 }
@@ -121,26 +117,7 @@ const char* severity_name(Severity severity) noexcept {
 
 namespace {
 
-void append_json_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-}
+using mph::util::append_json_escaped;
 
 std::string json_number(double value) {
   // JSON has no infinity/NaN; clamp the pathological cases to 0.

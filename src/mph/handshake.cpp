@@ -59,6 +59,80 @@ bool block_is_disjoint(const ExecutableBlock& block) {
   return true;
 }
 
+/// Where a rank sits in the resolved layout.
+struct Placement {
+  int run = -1;                            ///< index of its executable run
+  const ExecutableBlock* block = nullptr;  ///< the run's registry block
+  rank_t rel = 0;                          ///< executable-relative rank
+  int primary = -1;  ///< component id covering `rel` (-1: none does)
+};
+
+/// Locate `my_world`'s executable run and primary component, then label
+/// the rank with that component for failure reports, the monitor's
+/// per-component rollup and the trace track, and — under MIME isolation —
+/// join the instance's failure domain.  Both must happen before the first
+/// split: a failure during communicator creation should already be
+/// attributed (and contained) correctly.  `who` prefixes the error text.
+Placement place_rank(minimpi::Job& job, rank_t my_world,
+                     const Registry& registry,
+                     const std::vector<ExecutableRun>& runs,
+                     const LayoutResolution& resolution,
+                     const HandshakeOptions& options, const char* who) {
+  Placement p;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    if (my_world >= runs[r].base && my_world < runs[r].base + runs[r].size) {
+      p.run = static_cast<int>(r);
+      break;
+    }
+  }
+  if (p.run < 0) {
+    // find_runs covers every rank of the signature vector, so this
+    // indicates a substrate bug (e.g. a short allgather) — fail loudly
+    // instead of indexing runs[-1].
+    throw SetupError(std::string(who) + "world rank " +
+                     std::to_string(my_world) +
+                     " is not covered by any executable run (" +
+                     std::to_string(runs.size()) + " runs derived)");
+  }
+  const auto run = static_cast<std::size_t>(p.run);
+  p.block = &registry.blocks()[static_cast<std::size_t>(
+      resolution.block_of_run[run])];
+  p.rel = my_world - runs[run].base;
+  const std::vector<int>& ids =
+      resolution.directory.execs()[run].component_ids;
+  rank_t local = p.rel;  // rank within the primary component
+  if (p.block->kind == BlockKind::single) {
+    p.primary = ids.front();
+  } else {
+    for (std::size_t i = 0; i < p.block->components.size(); ++i) {
+      const ComponentEntry& c = p.block->components[i];
+      if (p.rel >= c.low && p.rel <= c.high) {
+        p.primary = ids[i];
+        local = p.rel - c.low;
+        break;
+      }
+    }
+  }
+  if (p.primary < 0) return p;
+  const ComponentRecord& record = resolution.directory.component(p.primary);
+  job.set_rank_label(my_world, record.name);
+  if (minimpi::MetricsRegistry* metrics = job.metrics()) {
+    metrics->set_component(my_world, record.name);
+  }
+  if (minimpi::Tracer* tracer = job.tracer()) {
+    // Trace tracks read in the paper's naming scheme:
+    // component[instance]:local_rank.
+    tracer->set_track_name(my_world, record.name + ":" + std::to_string(local));
+  }
+  if (options.isolate_instances &&
+      p.block->kind == BlockKind::multi_instance) {
+    // Idempotent: after a heal the domain is still registered, so a
+    // replacement rank re-joins the same slot.
+    job.join_domain(my_world, p.primary, record.name);
+  }
+  return p;
+}
+
 }  // namespace
 
 HandshakeResult handshake(const Comm& world, const Registry& registry,
@@ -124,20 +198,25 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
   // --- Step 3: match runs against the registry, build the directory. ------
   // Deterministic from identical inputs, so every rank throws (or not)
   // identically — errors never strand a subset of ranks in a collective.
-  const std::uint64_t t_layout =
-      tracer != nullptr ? tracer->now_ns() : 0;
-  LayoutResolution resolution = resolve_layout(registry, runs);
-  if (tracer != nullptr) {
-    tracer->span_end(world.global_of(world.rank()), minimpi::TraceOp::phase,
-                     "layout_resolve", t_layout, minimpi::any_source,
-                     minimpi::kWorldContext, minimpi::kPhaseLayout);
-  }
+  LayoutResolution resolution = [&] {
+    const minimpi::TraceSpan stage(tracer, world.global_of(world.rank()),
+                                   minimpi::TraceOp::phase, "layout_resolve",
+                                   minimpi::kPhaseLayout);
+    return resolve_layout(registry, runs);
+  }();
+  const rank_t my_world = world.rank();
+  const Placement place = place_rank(world.job(), my_world, registry, runs,
+                                     resolution, options, "");
+  const int my_run = place.run;
+  const ExecutableBlock& my_block = *place.block;
+  const rank_t rel = place.rel;
 
   HandshakeResult result;
   result.directory = std::move(resolution.directory);
   result.world = world;
   result.declaration = declaration;
   result.options = options;
+  result.exec_index = my_run;
 
   // Publish the established layout to the job blackboard so that a
   // respawned member can rebuild this exact directory later without any
@@ -146,75 +225,6 @@ HandshakeResult handshake(const Comm& world, const Registry& registry,
   if (world.rank() == 0) {
     world.job().put_shared(kRegistryKey, registry.to_text());
     world.job().put_shared(kSignaturesKey, u::join(signatures, "\n"));
-  }
-
-  // Locate my run.
-  const rank_t my_world = world.rank();
-  int my_run = -1;
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    if (my_world >= runs[r].base && my_world < runs[r].base + runs[r].size) {
-      my_run = static_cast<int>(r);
-      break;
-    }
-  }
-  if (my_run < 0) {
-    // find_runs covers every rank of the allgathered signature vector, so
-    // this indicates a substrate bug (e.g. a short allgather) — fail loudly
-    // instead of indexing runs[-1].
-    throw SetupError("world rank " + std::to_string(my_world) +
-                     " is not covered by any executable run (" +
-                     std::to_string(signatures.size()) +
-                     " signatures gathered, " + std::to_string(runs.size()) +
-                     " runs derived)");
-  }
-  result.exec_index = my_run;
-  const ExecutableRun& run = runs[static_cast<std::size_t>(my_run)];
-  const ExecutableBlock& my_block =
-      registry.blocks()[static_cast<std::size_t>(
-          resolution.block_of_run[static_cast<std::size_t>(my_run)])];
-  const rank_t rel = my_world - run.base;  // executable-relative rank
-
-  // Label this rank with its primary component for failure reports, and —
-  // under MIME isolation — register ensemble members into per-instance
-  // failure domains.  Both must happen before the first split: a failure
-  // during communicator creation should already be attributed (and
-  // contained) correctly.
-  {
-    const std::vector<int>& ids =
-        result.directory.execs()[static_cast<std::size_t>(my_run)]
-            .component_ids;
-    int primary = -1;
-    rank_t local = rel;  // rank within the primary component
-    if (my_block.kind == BlockKind::single) {
-      primary = ids.front();
-    } else {
-      for (std::size_t i = 0; i < my_block.components.size(); ++i) {
-        const ComponentEntry& c = my_block.components[i];
-        if (rel >= c.low && rel <= c.high) {
-          primary = ids[i];
-          local = rel - c.low;
-          break;
-        }
-      }
-    }
-    if (primary >= 0) {
-      const ComponentRecord& record = result.directory.component(primary);
-      world.job().set_rank_label(my_world, record.name);
-      if (metrics != nullptr) {
-        // The monitor's per-component rollup keys off this name.
-        metrics->set_component(my_world, record.name);
-      }
-      if (tracer != nullptr) {
-        // Trace tracks read in the paper's naming scheme:
-        // component[instance]:local_rank.
-        tracer->set_track_name(my_world,
-                               record.name + ":" + std::to_string(local));
-      }
-      if (options.isolate_instances &&
-          my_block.kind == BlockKind::multi_instance) {
-        world.job().join_domain(my_world, primary, record.name);
-      }
-    }
   }
 
   // --- Step 4 (§6.1/§6.2): create communicators. ---------------------------
@@ -315,8 +325,6 @@ HandshakeResult rejoin_handshake(const Comm& world,
   const u::Timer timer;
   validate_declaration(declaration);
   minimpi::Job& job = world.job();
-  minimpi::Tracer* tracer = job.tracer();
-  minimpi::MetricsRegistry* metrics = job.metrics();
   const rank_t my_world = world.rank();
 
   // Rebuild the layout from the blackboard instead of an allgather: the
@@ -352,63 +360,20 @@ HandshakeResult rejoin_handshake(const Comm& world,
   const std::vector<ExecutableRun> runs = find_runs(signatures);
   LayoutResolution resolution = resolve_layout(registry, runs);
 
+  const Placement place = place_rank(job, my_world, registry, runs,
+                                     resolution, options, "rejoin: ");
+  if (place.primary < 0) {
+    throw SetupError("rejoin: world rank " + std::to_string(my_world) +
+                     " is not covered by any component of its executable");
+  }
+
   HandshakeResult result;
   result.directory = std::move(resolution.directory);
   result.world = world;
   result.declaration = declaration;
   result.options = options;
-
-  int my_run = -1;
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    if (my_world >= runs[r].base && my_world < runs[r].base + runs[r].size) {
-      my_run = static_cast<int>(r);
-      break;
-    }
-  }
-  if (my_run < 0) {
-    throw SetupError("rejoin: world rank " + std::to_string(my_world) +
-                     " is not covered by any executable run");
-  }
-  result.exec_index = my_run;
-  const ExecutableRun& run = runs[static_cast<std::size_t>(my_run)];
-  const ExecutableBlock& my_block =
-      registry.blocks()[static_cast<std::size_t>(
-          resolution.block_of_run[static_cast<std::size_t>(my_run)])];
-  const rank_t rel = my_world - run.base;
-
-  const std::vector<int>& ids =
-      result.directory.execs()[static_cast<std::size_t>(my_run)].component_ids;
-  int primary = -1;
-  rank_t local = rel;
-  if (my_block.kind == BlockKind::single) {
-    primary = ids.front();
-  } else {
-    for (std::size_t i = 0; i < my_block.components.size(); ++i) {
-      const ComponentEntry& c = my_block.components[i];
-      if (rel >= c.low && rel <= c.high) {
-        primary = ids[i];
-        local = rel - c.low;
-        break;
-      }
-    }
-  }
-  if (primary < 0) {
-    throw SetupError("rejoin: world rank " + std::to_string(my_world) +
-                     " is not covered by any component of its executable");
-  }
-  const ComponentRecord& record = result.directory.component(primary);
-  job.set_rank_label(my_world, record.name);
-  if (metrics != nullptr) metrics->set_component(my_world, record.name);
-  if (tracer != nullptr) {
-    tracer->set_track_name(my_world,
-                           record.name + ":" + std::to_string(local));
-  }
-  if (options.isolate_instances &&
-      my_block.kind == BlockKind::multi_instance) {
-    // Idempotent: the heal kept the domain registered, so the replacement
-    // rank re-joins the same slot.
-    job.join_domain(my_world, primary, record.name);
-  }
+  result.exec_index = place.run;
+  const ComponentRecord& record = result.directory.component(place.primary);
 
   // The only collective of the rejoin: the member communicator, over
   // exactly the ranks being respawned together.  Survivors are uninvolved.
@@ -422,7 +387,7 @@ HandshakeResult rejoin_handshake(const Comm& world,
   // Degradation vs. the full handshake (see handshake.hpp): the member
   // communicator stands in for the executable communicator.
   result.exec_comm = comp;
-  result.my_component_ids.push_back(primary);
+  result.my_component_ids.push_back(place.primary);
   result.my_component_comms.push_back(std::move(comp));
   MPH_DIAG_LOG(info) << "MPH rejoin handshake for '" << record.name
                      << "' done in " << timer.micros() << " us";

@@ -1,5 +1,6 @@
 #include "src/util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -9,11 +10,32 @@ namespace mph::util {
 
 namespace {
 
-[[noreturn]] void type_error(const char* wanted) {
-  throw std::runtime_error(std::string("json: value is not ") + wanted);
+[[noreturn]] void type_error(const char* wanted, std::size_t offset) {
+  throw JsonError(std::string("json: value is not ") + wanted, offset);
 }
 
 }  // namespace
+
+void append_json_escaped(std::string& out, std::string_view text) {
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          constexpr const char* hex = "0123456789abcdef";
+          out += "\\u00";
+          out += hex[(c >> 4) & 0xF];
+          out += hex[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+}
 
 /// Recursive-descent parser over a string_view; tracks the byte offset so
 /// errors point at the offending input.
@@ -43,9 +65,9 @@ class JsonParser {
         ++column;
       }
     }
-    throw std::runtime_error("json: " + what + " at line " +
-                             std::to_string(line) + ", column " +
-                             std::to_string(column));
+    throw JsonError("json: " + what + " at line " + std::to_string(line) +
+                        ", column " + std::to_string(column),
+                    pos_);
   }
 
   void skip_ws() {
@@ -74,6 +96,13 @@ class JsonParser {
 
   JsonValue parse_value() {
     skip_ws();
+    const std::size_t start = pos_;
+    JsonValue v = parse_token();
+    v.offset_ = start;
+    return v;
+  }
+
+  JsonValue parse_token() {
     switch (peek()) {
       case '{': return parse_object();
       case '[': return parse_array();
@@ -238,6 +267,7 @@ class JsonParser {
     JsonValue v;
     v.type_ = JsonValue::Type::number;
     v.number_ = value;
+    v.string_ = token;
     return v;
   }
 
@@ -250,12 +280,12 @@ JsonValue JsonValue::parse(std::string_view text) {
 }
 
 bool JsonValue::as_bool() const {
-  if (type_ != Type::boolean) type_error("a boolean");
+  if (type_ != Type::boolean) type_error("a boolean", offset_);
   return bool_;
 }
 
 double JsonValue::as_number() const {
-  if (type_ != Type::number) type_error("a number");
+  if (type_ != Type::number) type_error("a number", offset_);
   return number_;
 }
 
@@ -264,24 +294,35 @@ long long JsonValue::as_int() const {
   constexpr double kMax =
       static_cast<double>(std::numeric_limits<long long>::max());
   if (!(value >= -kMax && value <= kMax)) {
-    type_error("an integer in range");
+    type_error("an integer in range", offset_);
   }
   return static_cast<long long>(value);
 }
 
+std::uint64_t JsonValue::as_uint64() const {
+  if (type_ != Type::number) type_error("a number", offset_);
+  std::uint64_t value = 0;
+  const char* end = string_.data() + string_.size();
+  const auto [ptr, ec] = std::from_chars(string_.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    type_error("an unsigned 64-bit integer", offset_);
+  }
+  return value;
+}
+
 const std::string& JsonValue::as_string() const {
-  if (type_ != Type::string) type_error("a string");
+  if (type_ != Type::string) type_error("a string", offset_);
   return string_;
 }
 
 const std::vector<JsonValue>& JsonValue::items() const {
-  if (type_ != Type::array) type_error("an array");
+  if (type_ != Type::array) type_error("an array", offset_);
   return items_;
 }
 
 const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
     const {
-  if (type_ != Type::object) type_error("an object");
+  if (type_ != Type::object) type_error("an object", offset_);
   return members_;
 }
 

@@ -33,15 +33,18 @@ std::vector<std::string_view> split_ws(std::string_view s) {
 }
 
 std::vector<std::string_view> split(std::string_view s, char delim) {
+  return split_any(s, std::string_view(&delim, 1));
+}
+
+std::vector<std::string_view> split_any(std::string_view s,
+                                        std::string_view delims) {
   std::vector<std::string_view> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
+  while (true) {
+    const std::size_t end = s.find_first_of(delims);
+    out.push_back(s.substr(0, end));
+    if (end == std::string_view::npos) return out;
+    s.remove_prefix(end + 1);
   }
-  return out;
 }
 
 std::string_view strip_comment(std::string_view line) noexcept {

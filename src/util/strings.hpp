@@ -23,6 +23,11 @@ namespace mph::util {
 /// Split on a single character delimiter; empty fields are preserved.
 [[nodiscard]] std::vector<std::string_view> split(std::string_view s, char delim);
 
+/// Split on any one of the characters in `delims`; empty fields are
+/// preserved.  The option-string parsers use this with ", ".
+[[nodiscard]] std::vector<std::string_view> split_any(std::string_view s,
+                                                      std::string_view delims);
+
 /// Strip an end-of-line comment.  Both Fortran-style `!` (used by the paper's
 /// registration files) and shell-style `#` introduce comments.
 [[nodiscard]] std::string_view strip_comment(std::string_view line) noexcept;

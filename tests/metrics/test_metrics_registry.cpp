@@ -91,13 +91,10 @@ TEST(MetricsRegistry, CountersAndGaugesAggregate) {
   MetricsRegistry reg(2);
   reg.on_send(0, 100);
   reg.on_send(0, 50);
-  reg.on_delivered(1, 150);
   reg.on_match(1, 5);
   reg.on_collective(0);
   reg.on_fault(1);
   reg.add_blocked_ns(1, 1000);
-  reg.set_queue_depth(1, 3);
-  reg.set_queue_depth(1, 1);
   reg.set_handshake_ns(0, 42);
 
   const RankMetrics r0 = reg.read_rank(0);
@@ -106,16 +103,11 @@ TEST(MetricsRegistry, CountersAndGaugesAggregate) {
   EXPECT_EQ(r0.send_bytes, 150u);
   EXPECT_EQ(r0.collectives, 1u);
   EXPECT_EQ(r0.handshake_ns, 42u);
-  EXPECT_EQ(r0.delivered, 0u);
 
   const RankMetrics r1 = reg.read_rank(1);
-  EXPECT_EQ(r1.delivered, 1u);
-  EXPECT_EQ(r1.delivered_bytes, 150u);
   EXPECT_EQ(r1.matches, 1u);
   EXPECT_EQ(r1.faults, 1u);
   EXPECT_EQ(r1.blocked_ns, 1000u);
-  EXPECT_EQ(r1.queue_depth, 1u);         // gauge: last value
-  EXPECT_EQ(r1.queue_high_water, 3u);    // high water: max ever
   EXPECT_EQ(r1.match_latency.count, 1u);
   EXPECT_EQ(r1.match_latency.sum, 5u);
   EXPECT_EQ(r1.match_latency.buckets[metrics_histogram_bucket(5)], 1u);
@@ -169,7 +161,6 @@ TEST(MetricsRegistry, ConcurrentWritersAndReaderAreRaceFree) {
     writers.emplace_back([&reg, r] {
       for (int i = 0; i < kOps; ++i) {
         reg.on_send(r, 8);
-        reg.on_delivered(r, 8);
         reg.on_match(r, static_cast<std::uint64_t>(i));
         reg.add_blocked_ns(r, 2);
       }
@@ -182,7 +173,6 @@ TEST(MetricsRegistry, ConcurrentWritersAndReaderAreRaceFree) {
   for (int r = 0; r < kWriters; ++r) {
     const RankMetrics m = reg.read_rank(r);
     EXPECT_EQ(m.sends, static_cast<std::uint64_t>(kOps));
-    EXPECT_EQ(m.delivered, static_cast<std::uint64_t>(kOps));
     EXPECT_EQ(m.match_latency.count, static_cast<std::uint64_t>(kOps));
     EXPECT_EQ(m.blocked_ns, static_cast<std::uint64_t>(2 * kOps));
     std::uint64_t bucket_total = 0;

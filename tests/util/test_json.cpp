@@ -68,3 +68,37 @@ TEST(Json, UnterminatedStringPointsPastTheOpeningQuote) {
   EXPECT_NE(what.find("unterminated string"), std::string::npos) << what;
   EXPECT_NE(what.find("line 1"), std::string::npos) << what;
 }
+
+TEST(Json, EscaperEmitsTheWritersBytesAndParsesBack) {
+  const std::string raw = std::string("q\"b\\n\nr\rt\t") + '\x01' + "z";
+  std::string body;
+  u::append_json_escaped(body, raw);
+  EXPECT_EQ(body, "q\\\"b\\\\n\\nr\\rt\\t\\u0001z");
+  EXPECT_EQ(u::JsonValue::parse("\"" + body + "\"").as_string(), raw);
+}
+
+TEST(Json, ParseErrorCarriesTheByteOffset) {
+  try {
+    (void)u::JsonValue::parse("{\n  \"a\": oops}");
+    FAIL() << "expected a parse error";
+  } catch (const u::JsonError& e) {
+    EXPECT_EQ(e.offset(), 9u);
+    EXPECT_NE(std::string(e.what()).find("line 2, column 8"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Json, Uint64ReadsTheNumbersOwnTextExactly) {
+  const u::JsonValue doc = u::JsonValue::parse(
+      "[18446744073709551615, 9223372036854775809, 0, -1, 1.5, 1e3, "
+      "18446744073709551616]");
+  EXPECT_EQ(doc.at(0).as_uint64(), 18446744073709551615ull);
+  EXPECT_EQ(doc.at(1).as_uint64(), 9223372036854775809ull);
+  EXPECT_EQ(doc.at(2).as_uint64(), 0u);
+  for (std::size_t i = 3; i < 7; ++i) {
+    EXPECT_THROW((void)doc.at(i).as_uint64(), std::runtime_error) << i;
+  }
+  EXPECT_THROW((void)u::JsonValue::parse("\"7\"").as_uint64(),
+               std::runtime_error);
+}

@@ -2,6 +2,7 @@
 // with an offset, and the human rendering names components.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "src/minimpi/error.hpp"
@@ -41,6 +42,40 @@ TEST(VerifyTrace, EmptyTraceRoundTrips) {
   const Trace parsed = Trace::from_json(trace.to_json());
   EXPECT_EQ(parsed, trace);
   EXPECT_TRUE(parsed.decisions.empty());
+}
+
+TEST(VerifyTrace, SeedsRoundTripOverTheWholeUint64Range) {
+  // mph_verify --seed takes any u64: seeds past INT64_MAX must come back
+  // exactly (a double holds neither of these).
+  for (const std::uint64_t seed :
+       {(std::uint64_t{1} << 63) + 1, ~std::uint64_t{0}}) {
+    Trace trace = sample_trace();
+    trace.seed = seed;
+    const Trace parsed = Trace::from_json(trace.to_json());
+    EXPECT_EQ(parsed.seed, seed);
+    EXPECT_EQ(parsed, trace);
+  }
+}
+
+TEST(VerifyTrace, SchemaErrorsNameTheOffsetOfTheValue) {
+  const std::string text =
+      "{\"version\": 1, \"seed\": 1, \"decisions\": [], \"extra\": 0}";
+  try {
+    (void)Trace::from_json(text);
+    FAIL() << "expected a parse error";
+  } catch (const minimpi::Error& e) {
+    EXPECT_EQ(e.code(), minimpi::Errc::invalid_argument);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("trace parse error at offset " +
+                        std::to_string(text.find("0}"))),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("unknown key \"extra\""), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)Trace::from_json("{\"seed\": -1}"), minimpi::Error);
+  EXPECT_THROW((void)Trace::from_json("{\"decisions\": [{\"rank\": 0.5}]}"),
+               minimpi::Error);
+  EXPECT_THROW((void)Trace::from_json("[]"), minimpi::Error);
 }
 
 TEST(VerifyTrace, ParseErrorsNameTheOffset) {
