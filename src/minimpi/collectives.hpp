@@ -59,6 +59,50 @@ struct CollectiveScope {
     comm.check_collective(name, root, count, elem_size);
   }
 };
+
+/// Binomial-tree broadcast skeleton: a non-root calls `from_parent(parent)`
+/// once, for the parent at the lowest set bit of its virtual rank, then
+/// every member calls `to_child(child)` for its children at decreasing bits.
+template <class FromParent, class ToChild>
+void binomial_bcast(const Comm& comm, rank_t root, FromParent&& from_parent,
+                    ToChild&& to_child) {
+  const int n = comm.size();
+  const int vr = virtual_rank(comm.rank(), root, n);
+  int mask = 1;
+  while (mask < n) {
+    if ((vr & mask) != 0) {
+      from_parent(actual_rank(vr - mask, root, n));
+      break;
+    }
+    mask <<= 1;
+  }
+  mask >>= 1;
+  while (mask > 0) {
+    if (vr + mask < n) to_child(actual_rank(vr + mask, root, n));
+    mask >>= 1;
+  }
+}
+
+/// Variable-length broadcast in one pass: each non-root takes its parent's
+/// message whole (its length is the payload's) and forwards it, so n-1
+/// messages under one tag.  Returns what a non-root received; the root
+/// sends `payload` and gets an empty vector back.
+inline std::vector<std::byte> bcast_take(const Comm& comm,
+                                         std::span<const std::byte> payload,
+                                         rank_t root) {
+  const CollectiveScope scope(comm, "bcast", root, Checker::kUncheckedCount,
+                              1);
+  const tag_t tag = comm.next_collective_tag();
+  std::vector<std::byte> received;
+  binomial_bcast(
+      comm, root,
+      [&](rank_t parent) {
+        received = comm.recv_take_raw(parent, tag).second;
+        payload = received;
+      },
+      [&](rank_t child) { comm.send_raw(payload, child, tag); });
+  return received;
+}
 }  // namespace detail
 
 /// Synchronize all members (dissemination barrier).
@@ -85,27 +129,12 @@ void bcast(const Comm& comm, std::span<T> values, rank_t root = 0) {
   const detail::CollectiveScope scope(comm, "bcast", root, values.size(),
                                       sizeof(T));
   const tag_t tag = comm.next_collective_tag();
-  const int n = comm.size();
-  const int vr = detail::virtual_rank(comm.rank(), root, n);
-  // Classic binomial tree: receive once from the parent at the lowest set
-  // bit of the virtual rank, then forward to children at decreasing bits.
-  int mask = 1;
-  while (mask < n) {
-    if ((vr & mask) != 0) {
-      const int parent = detail::actual_rank(vr - mask, root, n);
-      comm.recv_raw(std::as_writable_bytes(values), parent, tag);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vr + mask < n) {
-      const int child = detail::actual_rank(vr + mask, root, n);
-      comm.send_raw(std::as_bytes(values), child, tag);
-    }
-    mask >>= 1;
-  }
+  detail::binomial_bcast(
+      comm, root,
+      [&](rank_t parent) {
+        comm.recv_raw(std::as_writable_bytes(values), parent, tag);
+      },
+      [&](rank_t child) { comm.send_raw(std::as_bytes(values), child, tag); });
 }
 
 /// Broadcast a single value.
@@ -114,23 +143,21 @@ void bcast_value(const Comm& comm, T& value, rank_t root = 0) {
   bcast(comm, std::span<T>(&value, 1), root);
 }
 
-/// Broadcast a variable-length byte buffer (size first, then payload).
+/// Broadcast a variable-length byte buffer (one pass, see bcast_take).
 inline void bcast_bytes(const Comm& comm, std::vector<std::byte>& bytes,
                         rank_t root = 0) {
-  std::uint64_t size = bytes.size();
-  bcast_value(comm, size, root);
-  if (comm.rank() != root) bytes.resize(size);
-  if (size > 0) bcast(comm, std::span<std::byte>(bytes), root);
+  std::vector<std::byte> received = detail::bcast_take(comm, bytes, root);
+  if (comm.rank() != root) bytes = std::move(received);
 }
 
 /// Broadcast a string (used by MPH to distribute the registration file,
 /// paper §6: "read by the root processor and broadcast to all processors").
 inline void bcast_string(const Comm& comm, std::string& text, rank_t root = 0) {
-  std::uint64_t size = text.size();
-  bcast_value(comm, size, root);
-  if (comm.rank() != root) text.resize(size);
-  if (size > 0) {
-    bcast(comm, std::span<char>(text.data(), text.size()), root);
+  const std::vector<std::byte> received = detail::bcast_take(
+      comm, std::as_bytes(std::span<const char>(text)), root);
+  if (comm.rank() != root) {
+    text.assign(reinterpret_cast<const char*>(received.data()),
+                received.size());
   }
 }
 

@@ -285,8 +285,8 @@ class Job {
 
   /// Drain the trace rings into a report (empty ranks when tracing is
   /// off).  Tracks default to "label:world_rank" until someone (the MPH
-  /// handshake) names them.  Normally called once, after every rank thread
-  /// joined; safe — but approximate — while ranks are still recording.
+  /// handshake) names them.  Normally called once, after every rank
+  /// exited; safe — but approximate — while ranks are still recording.
   [[nodiscard]] TraceReport trace_report() const;
 
   /// Aggregate the metrics registry into one snapshot (empty ranks when
@@ -294,8 +294,8 @@ class Job {
   /// liveness flags, component labels, and each rank's delivery facts
   /// (delivered, delivered_bytes, queue_depth, queue_high_water) read from
   /// its mailbox.  The monitor thread calls this
-  /// every interval; run_mpmd calls it once more, after every rank thread
-  /// joined, for the exact JobReport::metrics.
+  /// every interval; run_mpmd calls it once more, after every rank
+  /// exited, for the exact JobReport::metrics.
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
 
   /// Park the monitor thread (idempotent).  Called by run_mpmd before the
@@ -304,7 +304,7 @@ class Job {
   void stop_monitor();
 
   /// Discard every mailbox's leftover envelopes and posted receives,
-  /// summing what leaked — called after all rank threads joined.
+  /// summing what leaked — called after all ranks exited.
   [[nodiscard]] JobDrain drain_all();
 
  private:

@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "src/minimpi/error.hpp"
 #include "src/minimpi/fault.hpp"
@@ -14,6 +15,81 @@
 namespace minimpi {
 
 namespace {
+
+/// Rank-exit hooks registered by the rank running on this thread.
+thread_local std::vector<void (*)()> t_rank_exit_hooks;
+
+/// Run and forget the hooks of the rank that just returned, so the next
+/// rank this thread runs starts without the last one's per-rank state.
+void run_rank_exit_hooks() noexcept {
+  std::vector<void (*)()> hooks;
+  hooks.swap(t_rank_exit_hooks);
+  for (void (*hook)() : hooks) hook();
+}
+
+/// Process-wide pool of parked rank threads.  A launch hands the rank to an
+/// idle worker, the one parked last, so back-to-back jobs of at most N
+/// ranks keep reusing the same N threads; it creates a worker only when
+/// none is idle, so a nested or concurrent job never waits for one.
+/// A worker runs `body`, parks itself again, then runs `post`: by the time
+/// `post` has told the job's supervisor that the rank is done, the worker
+/// can already take the next launch.
+class RankPool {
+ public:
+  /// noexcept: a job that cannot start one rank cannot unwind either, since
+  /// its ranks already running refer to the launcher's frame.
+  void launch(std::function<void()> body,
+              std::function<void()> post) noexcept {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (idle_.empty()) {
+      lock.unlock();
+      std::thread(&RankPool::serve, this, std::move(body), std::move(post))
+          .detach();
+      return;
+    }
+    Worker& worker = *idle_.back();
+    idle_.pop_back();
+    worker.body = std::move(body);
+    worker.post = std::move(post);
+    lock.unlock();
+    worker.wake.notify_one();
+  }
+
+ private:
+  struct Worker {
+    std::condition_variable wake;
+    std::function<void()> body;  ///< next rank; set under mutex_
+    std::function<void()> post;
+  };
+
+  [[noreturn]] void serve(std::function<void()> body,
+                          std::function<void()> post) {
+    Worker self;  // lives as long as this thread, which never exits
+    for (;;) {
+      body();
+      body = nullptr;
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        idle_.push_back(&self);
+      }
+      post();
+      post = nullptr;
+      std::unique_lock<std::mutex> lock(mutex_);
+      self.wake.wait(lock, [&] { return static_cast<bool>(self.body); });
+      body = std::exchange(self.body, nullptr);
+      post = std::exchange(self.post, nullptr);
+    }
+  }
+
+  std::mutex mutex_;
+  std::vector<Worker*> idle_;  ///< parked workers, most recent last
+};
+
+/// Never destroyed: parked workers may still wait on it at process exit.
+RankPool& rank_pool() {
+  static RankPool* const pool = new RankPool;
+  return *pool;
+}
 
 /// Route one rank's failure: domain members abort only their domain (the
 /// failure is *contained*), everyone else takes the whole job down.
@@ -62,7 +138,7 @@ JobReport run_mpmd(const std::vector<ExecSpec>& specs, JobOptions options) {
     respawn_enabled = false;
   }
 
-  // Rank threads report their exit here; the supervisor (this thread)
+  // Ranks report their exit here; the supervisor (this thread)
   // decides whether an exited failure domain gets respawned.
   struct Completion {
     rank_t world_rank = -1;
@@ -71,18 +147,20 @@ JobReport run_mpmd(const std::vector<ExecSpec>& specs, JobOptions options) {
   std::condition_variable done_cv;
   std::deque<Completion> completions;
 
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(total));
-
   // Per-world-rank bookkeeping, touched only by the supervisor thread
   // (before the initial spawn and after a rank's completion event).
   std::vector<std::size_t> rank_exec(static_cast<std::size_t>(total), 0);
   std::vector<int> rank_incarnation(static_cast<std::size_t>(total), 0);
   std::vector<char> rank_exited(static_cast<std::size_t>(total), 0);
 
+  // Each rank runs on a pooled thread.  Every RAII object of the rank
+  // (its trace anchor, scheduler bracket, communicators, per-rank thread
+  // state) ends inside `body`; `post` is the worker's last touch of this
+  // frame, so the supervisor may return as soon as it has seen every
+  // completion.
   const auto spawn_rank = [&](std::size_t e, rank_t world_rank,
                               int incarnation) {
-    threads.emplace_back([&, e, world_rank, incarnation] {
+    const auto body = [&, e, world_rank, incarnation] {
       const ExecSpec& my_spec = specs[e];
       mph::util::set_thread_label("rank " + std::to_string(world_rank) + " (" +
                                   my_spec.name + ")");
@@ -120,7 +198,7 @@ JobReport run_mpmd(const std::vector<ExecSpec>& specs, JobOptions options) {
           if (sched != nullptr) sched->rank_finished(rank);
         }
       } sched_scope{job->scheduler(), world_rank};
-      // Per-rank launch→join anchor on the shared job clock: mph_prof uses
+      // Per-rank launch→exit anchor on the shared job clock: mph_prof uses
       // the rank_main span as the source/sink of the happens-before DAG.
       // RAII so a failing rank still closes its anchor.
       const TraceSpan main_span(job->tracer(), world_rank, TraceOp::phase,
@@ -161,12 +239,14 @@ JobReport run_mpmd(const std::vector<ExecSpec>& specs, JobOptions options) {
         push(contained ? report.contained : report.failures, "user code",
              ex.what());
       }
-      {
-        const std::lock_guard<std::mutex> lock(done_mutex);
-        completions.push_back(Completion{world_rank});
-      }
+      run_rank_exit_hooks();
+    };
+    const auto post = [&, world_rank] {
+      const std::lock_guard<std::mutex> lock(done_mutex);
+      completions.push_back(Completion{world_rank});
       done_cv.notify_one();
-    });
+    };
+    rank_pool().launch(body, post);
   };
 
   rank_t base = 0;
@@ -179,7 +259,7 @@ JobReport run_mpmd(const std::vector<ExecSpec>& specs, JobOptions options) {
     base += specs[e].nprocs;
   }
 
-  // Supervision loop: wait until every live rank thread has exited.  When
+  // Supervision loop: wait until every live rank has exited.  When
   // respawn is enabled and ALL ranks of an aborted failure domain have
   // exited, heal the domain (after the configured backoff) and relaunch its
   // ranks at the next incarnation, up to the per-domain budget.
@@ -251,9 +331,7 @@ JobReport run_mpmd(const std::vector<ExecSpec>& specs, JobOptions options) {
     }
   }
 
-  for (std::thread& t : threads) t.join();
-
-  // Every rank joined: park the scheduler's monitor before reporting (the
+  // Every rank finished: park the scheduler's monitor before reporting (the
   // job object may outlive this call inside a verify run's engine loop).
   if (Scheduler* sched = job->scheduler()) sched->stop();
 
@@ -261,10 +339,10 @@ JobReport run_mpmd(const std::vector<ExecSpec>& specs, JobOptions options) {
   report.stats = job->stats();
   // Drain the trace rings while the mailboxes still hold their counters
   // (drain_all below clears queues, not counters, but keep the order
-  // obvious): every rank thread has joined, so the rings are quiescent.
+  // obvious): every rank has posted its exit, so the rings are quiescent.
   if (job->tracer() != nullptr) report.trace = job->trace_report();
   // Stop the monitor thread before taking the report snapshot: with every
-  // rank joined and the publisher parked, this final read is exact (the
+  // rank exited and the publisher parked, this final read is exact (the
   // live snapshots tolerate torn reads; JobReport::metrics must not).
   if (job->metrics() != nullptr) {
     job->stop_monitor();
@@ -297,6 +375,13 @@ JobReport run_mpmd(const std::vector<ExecSpec>& specs, JobOptions options) {
   std::stable_partition(report.contained.begin(), report.contained.end(),
                         is_root_cause);
   return report;
+}
+
+void at_rank_exit(void (*hook)()) {
+  if (std::find(t_rank_exit_hooks.begin(), t_rank_exit_hooks.end(), hook) ==
+      t_rank_exit_hooks.end()) {
+    t_rank_exit_hooks.push_back(hook);
+  }
 }
 
 JobReport run_spmd(

@@ -8,7 +8,10 @@
 // world ranks [base_i, base_i + nprocs_i) — and never overlap, matching the
 // resource-allocation policy the paper describes ("each processor or MPI
 // process is exclusively owned by an executable").  Each rank runs on its
-// own thread; all ranks share one COMM_WORLD.
+// own thread; all ranks share one COMM_WORLD.  Rank threads come from one
+// process-wide pool: a finished rank's thread parks and runs a later rank,
+// so per-rank state must not live in thread_local destructors (see
+// at_rank_exit).
 //
 // Crucially, an entry point receives only its world communicator and its
 // own executable's environment (name, argv).  It does NOT learn the layout
@@ -95,7 +98,7 @@ struct JobReport {
   std::optional<TraceReport> trace;
   /// mph_mon final snapshot, present when monitoring was enabled
   /// (JobOptions::monitor / MINIMPI_MONITOR).  Taken after every rank
-  /// joined, so unlike the live snapshots it is exact, not torn.
+  /// exited, so unlike the live snapshots it is exact, not torn.
   std::optional<MetricsSnapshot> metrics;
   /// mph_watch health events, present when watching was enabled
   /// (JobOptions::watch / MINIMPI_WATCH): every rule firing and clearing
@@ -114,13 +117,20 @@ struct JobReport {
   }
 };
 
-/// Run an MPMD job to completion.  Spawns sum(nprocs) rank-threads, waits
-/// for all of them, and reports failures.  When any rank throws, the job
-/// aborts: blocked ranks unwind with AbortedError (recorded separately from
-/// the root-cause failure).  Ranks registered into a failure domain
+/// Run an MPMD job to completion.  Runs sum(nprocs) ranks on pooled
+/// threads, waits for all of them, and reports failures.  When any rank
+/// throws, the job aborts: blocked ranks unwind with AbortedError (recorded
+/// separately from the root-cause failure).  Ranks registered into a failure domain
 /// (Job::join_domain) abort only their domain: those failures land in
 /// `contained` and leave `ok` true for the rest of the job.
 JobReport run_mpmd(const std::vector<ExecSpec>& specs, JobOptions options = {});
+
+/// Register `hook` to run on the calling rank's thread once its entry point
+/// has returned or thrown, before the job sees the rank as finished; the
+/// registration is then forgotten.  This is how per-rank thread_local state
+/// is reset for the next rank the pooled thread runs.  Registering the same
+/// hook twice in one rank runs it once.  A hook must not throw.
+void at_rank_exit(void (*hook)());
 
 /// SPMD convenience: n ranks all running the same entry.
 JobReport run_spmd(int nprocs,

@@ -28,7 +28,7 @@
 // the tsan contention test exercises exactly this), and every counter is
 // monotone, so rates computed between two snapshots are exact over the
 // interval.  The final snapshot in JobReport::metrics is taken after all
-// rank threads joined and is exact.
+// ranks exited and is exact.
 //
 // Histogram contract (checked by mph_racer, DESIGN.md §14): within one
 // rank's match-latency histogram, `count` never runs ahead of the data.

@@ -50,7 +50,7 @@ class Scheduler {
   virtual void bind(Job* job) { (void)job; }
 
   /// Park any helper threads.  Idempotent; called by the launcher after
-  /// every rank joined and again by ~Job.
+  /// every rank exited and again by ~Job.
   virtual void stop() {}
 
   // --- rank lifecycle (launcher) -------------------------------------------

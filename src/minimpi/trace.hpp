@@ -21,7 +21,7 @@
 // when the stamp matches the claimed index before AND after reading the
 // fields, so a concurrent overwrite is detected and counted as dropped
 // rather than surfacing a torn event.  Drains normally run after every
-// rank thread joined, where the rings are quiescent and reads are exact.
+// rank exited, where the rings are quiescent and reads are exact.
 //
 // Memory-model contract (checked by mph_racer, DESIGN.md §14): the field
 // stores are release and the field loads acquire.  The double stamp check

@@ -2,6 +2,8 @@
 
 #include <optional>
 
+#include "src/minimpi/launcher.hpp"
+
 namespace mph::compat {
 
 namespace {
@@ -19,7 +21,12 @@ Mph& current() {
 
 bool has_current() noexcept { return t_current.has_value(); }
 
-void set_current(Mph handle) { t_current.emplace(std::move(handle)); }
+void set_current(Mph handle) {
+  t_current.emplace(std::move(handle));
+  // A pooled rank thread runs later ranks too: the handle (and the Job it
+  // keeps alive) ends with this rank, not with the thread.
+  minimpi::at_rank_exit(&clear_current);
+}
 
 void clear_current() noexcept { t_current.reset(); }
 

@@ -10,9 +10,9 @@
 //       mph::compat::MPH_components_setup(world, source, "atmosphere");
 //   int me = mph::compat::MPH_local_proc_id();
 //
-// Each rank-thread owns one current handle (set implicitly by the
-// MPH_*setup calls).  New C++ code should prefer the explicit mph::Mph
-// object API.
+// Each rank owns one current handle (set implicitly by the MPH_*setup
+// calls); it is dropped when the rank's entry point returns.  New C++ code
+// should prefer the explicit mph::Mph object API.
 #pragma once
 
 #include <string>

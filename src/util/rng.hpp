@@ -9,6 +9,14 @@
 
 namespace mph::util {
 
+/// SplitMix64's output function: a bijection on 64-bit words that turns
+/// the stream seed, seed + γ, seed + 2γ, ... into well-mixed values.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256** generator.  Satisfies UniformRandomBitGenerator so it can
 /// drive <random> distributions, but also offers convenience helpers.
 class Rng {
@@ -20,10 +28,7 @@ class Rng {
     std::uint64_t x = seed;
     for (auto& word : s_) {
       x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
+      word = splitmix64(x);
     }
   }
 
@@ -103,8 +108,9 @@ void forbid_fresh_entropy(bool forbid) noexcept;
 /// True while fresh (non-reproducible) entropy is banned.
 [[nodiscard]] bool fresh_entropy_forbidden() noexcept;
 
-/// The sanctioned source of non-reproducible seeds (std::random_device).
-/// Throws std::runtime_error while the ban is armed.
+/// The sanctioned source of non-reproducible seeds: one std::random_device
+/// draw per process, mixed with a per-call counter, so every call returns a
+/// different seed.  Throws std::runtime_error while the ban is armed.
 [[nodiscard]] std::uint64_t fresh_entropy_seed();
 
 /// RAII arm/restore of the fresh-entropy ban.

@@ -190,3 +190,11 @@ TEST(Launcher, JobsAreIndependent) {
     ASSERT_TRUE(report.ok) << report.abort_reason;
   }
 }
+
+TEST(Launcher, UnseededJobsGetDistinctSeeds) {
+  // JobOptions::seed == 0 asks for a fresh seed per job.
+  const Job first(2, JobOptions{});
+  const Job second(2, JobOptions{});
+  EXPECT_NE(first.seed(), 0u);
+  EXPECT_NE(first.seed(), second.seed());
+}

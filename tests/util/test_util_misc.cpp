@@ -113,6 +113,12 @@ TEST(Rng, SplitStreamsAreIndependentlySeeded) {
   EXPECT_EQ(same, 0);
 }
 
+TEST(Rng, FreshEntropySeedsNeverRepeat) {
+  std::set<std::uint64_t> seeds;
+  for (int i = 0; i < 10000; ++i) seeds.insert(u::fresh_entropy_seed());
+  EXPECT_EQ(seeds.size(), 10000u);
+}
+
 TEST(Diagnostics, ThreadLabelRoundTrip) {
   u::set_thread_label("rank 7 (ocean)");
   EXPECT_EQ(u::thread_label(), "rank 7 (ocean)");
